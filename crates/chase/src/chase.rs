@@ -912,26 +912,33 @@ fn egd_pass(
 #[allow(clippy::expect_used)] // invariant-backed: see expect messages
 /// Replace every occurrence of labeled null `from` with `to` across the
 /// database (egd resolution).
+///
+/// Per relation: one batched removal of every tuple mentioning `from`,
+/// then the replacements appended in scan order. Bit-identical to
+/// removing and re-inserting tuple by tuple — a replacement never
+/// contains `from`, so it can never equal (or be deduplicated against)
+/// a removed tuple.
 fn equate(db: &mut Database, from: Value, to: Value) {
     debug_assert!(from.is_labeled());
     let names: Vec<String> = db.relation_names().map(String::from).collect();
     for name in names {
         let rel = db.relation(&name).expect("name enumerated");
-        let mut replaced: Vec<(Tuple, Tuple)> = Vec::new();
-        for t in rel.iter() {
-            if t.values().contains(&from) {
-                let new_vals: Vec<Value> = t
-                    .values()
-                    .iter()
-                    .map(|v| if v == &from { to.clone() } else { v.clone() })
-                    .collect();
-                replaced.push((t.clone(), Tuple::new(new_vals)));
-            }
-        }
-        if !replaced.is_empty() {
+        let replacements: Vec<Tuple> = rel
+            .iter()
+            .filter(|t| t.values().contains(&from))
+            .map(|t| {
+                Tuple::new(
+                    t.values()
+                        .iter()
+                        .map(|v| if v == &from { to.clone() } else { v.clone() })
+                        .collect(),
+                )
+            })
+            .collect();
+        if !replacements.is_empty() {
             let rel = db.relation_mut(&name).expect("name enumerated");
-            for (old, new) in replaced {
-                rel.remove(&old);
+            rel.retain(|t| !t.values().contains(&from));
+            for new in replacements {
                 rel.insert(new);
             }
         }

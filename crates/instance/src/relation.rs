@@ -15,9 +15,10 @@ use crate::value::Value;
 use mm_metamodel::{Attribute, DataType};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 use std::sync::atomic::Ordering as AtomicOrdering;
 
@@ -30,15 +31,32 @@ pub const INLINE_ARITY: usize = 4;
 /// probes ([`RelIndex::probe`], [`Relation::contains_values`]) land in
 /// the same buckets as stored tuples without building a tuple. Never 0
 /// (0 is the "uncached" sentinel).
+///
+/// The Fx pass ends in a multiply, so its low bits depend only on the low
+/// bits of the last word, and those barely vary for small integers (an
+/// int hashes as its `f64` bits, whose low mantissa bits are zero) or for
+/// strings that differ only late. Hash tables index buckets by the low
+/// bits, so the result goes through a full-avalanche finalizer (the
+/// MurmurHash3 `fmix64` mix) before it is cached.
 pub fn hash_values(values: &[Value]) -> u64 {
     let mut h = FxHasher::default();
     for v in values {
         v.hash(&mut h);
     }
     h.write_usize(values.len());
-    let out = h.finish();
+    let mut out = h.finish();
+    out ^= out >> 33;
+    out = out.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    out ^= out >> 33;
+    out = out.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    out ^= out >> 33;
     if out == 0 { 1 } else { out }
 }
+
+/// Hash-map builder for maps keyed by an already-computed tuple hash.
+/// The keys are unkeyed Fx hashes to begin with, so a keyed (SipHash)
+/// pass over them would cost time and protect nothing.
+type PreHashed = BuildHasherDefault<FxHasher>;
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Repr {
@@ -65,14 +83,54 @@ pub struct Tuple {
 const NULL_PAD: Value = Value::Null;
 
 impl Tuple {
+    /// The inline/spill rule, in one place: small tuples are stored in
+    /// place under the compact data plane; everything else spills.
+    fn inlines(arity: usize) -> bool {
+        intern::compact_enabled() && arity <= INLINE_ARITY
+    }
+
+    /// An inline tuple over `vals[..len]` with its hash cached.
+    fn inline(len: usize, vals: [Value; INLINE_ARITY]) -> Self {
+        let hash = hash_values(&vals[..len]);
+        Tuple { hash, repr: Repr::Inline { len: len as u8, vals } }
+    }
+
+    /// Build an arity-`arity` tuple from a per-position producer, called
+    /// once per position in order. Inline tuples are filled in place.
+    fn from_fn(arity: usize, mut f: impl FnMut(usize) -> Value) -> Self {
+        if Tuple::inlines(arity) {
+            let mut vals = [NULL_PAD; INLINE_ARITY];
+            for (i, slot) in vals.iter_mut().enumerate().take(arity) {
+                *slot = f(i);
+            }
+            Tuple::inline(arity, vals)
+        } else {
+            Tuple::spill((0..arity).map(f).collect())
+        }
+    }
+
+    /// Fallible [`Tuple::from_fn`]: the first error aborts the build. The
+    /// decoder's entry point — an inline tuple is filled straight from the
+    /// byte stream with no intermediate `Vec`.
+    pub fn try_from_fn<E>(
+        arity: usize,
+        mut f: impl FnMut(usize) -> Result<Value, E>,
+    ) -> Result<Self, E> {
+        if Tuple::inlines(arity) {
+            let mut vals = [NULL_PAD; INLINE_ARITY];
+            for (i, slot) in vals.iter_mut().enumerate().take(arity) {
+                *slot = f(i)?;
+            }
+            Ok(Tuple::inline(arity, vals))
+        } else {
+            (0..arity).map(f).collect::<Result<Arc<[Value]>, E>>().map(Tuple::spill)
+        }
+    }
+
     pub fn new(values: Vec<Value>) -> Self {
-        if intern::compact_enabled() && values.len() <= INLINE_ARITY {
-            let len = values.len() as u8;
+        if Tuple::inlines(values.len()) {
             let mut it = values.into_iter();
-            let vals = std::array::from_fn(|_| it.next().unwrap_or(NULL_PAD));
-            let mut t = Tuple { hash: 0, repr: Repr::Inline { len, vals } };
-            t.hash = hash_values(t.values());
-            t
+            Tuple::from_fn(it.len(), |_| it.next().unwrap_or(NULL_PAD))
         } else {
             Tuple::spill(values.into())
         }
@@ -82,10 +140,8 @@ impl Tuple {
     /// point for the chase's firing scratch and eval's key buffers: the
     /// caller keeps refilling one `Vec` and never hands over ownership.
     pub fn from_slice(values: &[Value]) -> Self {
-        if intern::compact_enabled() && values.len() <= INLINE_ARITY {
-            let len = values.len() as u8;
-            let vals = std::array::from_fn(|i| values.get(i).cloned().unwrap_or(NULL_PAD));
-            Tuple { hash: hash_values(values), repr: Repr::Inline { len, vals } }
+        if Tuple::inlines(values.len()) {
+            Tuple::from_fn(values.len(), |i| values[i].clone())
         } else {
             Tuple::spill(values.into())
         }
@@ -126,25 +182,9 @@ impl Tuple {
     /// aborting. Use [`Tuple::try_project`] where out-of-range positions
     /// must be detected instead of absorbed.
     pub fn project(&self, positions: &[usize]) -> Tuple {
-        if intern::compact_enabled() && positions.len() <= INLINE_ARITY {
-            let len = positions.len() as u8;
-            let vals = std::array::from_fn(|i| {
-                positions
-                    .get(i)
-                    .and_then(|&p| self.get(p).cloned())
-                    .unwrap_or(NULL_PAD)
-            });
-            let mut t = Tuple { hash: 0, repr: Repr::Inline { len, vals } };
-            t.hash = hash_values(t.values());
-            t
-        } else {
-            Tuple::spill(
-                positions
-                    .iter()
-                    .map(|&i| self.get(i).cloned().unwrap_or(Value::Null))
-                    .collect(),
-            )
-        }
+        Tuple::from_fn(positions.len(), |i| {
+            self.get(positions[i]).cloned().unwrap_or(Value::Null)
+        })
     }
 
     /// Strict projection: `None` if any position is out of range.
@@ -158,21 +198,10 @@ impl Tuple {
     /// Concatenate with another tuple.
     pub fn concat(&self, other: &Tuple) -> Tuple {
         let (a, b) = (self.values(), other.values());
-        if intern::compact_enabled() && a.len() + b.len() <= INLINE_ARITY {
-            let len = (a.len() + b.len()) as u8;
-            let vals = std::array::from_fn(|i| {
-                if i < a.len() {
-                    a[i].clone()
-                } else {
-                    b.get(i - a.len()).cloned().unwrap_or(NULL_PAD)
-                }
-            });
-            let mut t = Tuple { hash: 0, repr: Repr::Inline { len, vals } };
-            t.hash = hash_values(t.values());
-            t
-        } else {
-            Tuple::spill(a.iter().chain(b).cloned().collect())
-        }
+        Tuple::from_fn(a.len() + b.len(), |i| match a.get(i) {
+            Some(v) => v.clone(),
+            None => b[i - a.len()].clone(),
+        })
     }
 
     /// Whether every value is a constant (no NULLs, no labeled nulls).
@@ -292,12 +321,12 @@ struct Bucket {
 #[derive(Debug, Clone, Default)]
 pub struct RelIndex {
     positions: Vec<usize>,
-    buckets: HashMap<u64, Vec<Bucket>>,
+    buckets: HashMap<u64, Vec<Bucket>, PreHashed>,
 }
 
 impl RelIndex {
     fn build(positions: &[usize], tuples: &[Tuple]) -> Self {
-        let mut idx = RelIndex { positions: positions.to_vec(), buckets: HashMap::new() };
+        let mut idx = RelIndex { positions: positions.to_vec(), buckets: HashMap::default() };
         for (i, t) in tuples.iter().enumerate() {
             idx.add(i as u32, t);
         }
@@ -331,6 +360,30 @@ impl RelIndex {
     }
 }
 
+/// The insertion positions of the stored tuples sharing one hash. Nearly
+/// every hash names exactly one tuple, so that case is stored inline and
+/// a `Relation` insert or clone allocates nothing per tuple; only a real
+/// 64-bit collision spills to a heap list.
+#[derive(Debug, Clone)]
+enum Slots {
+    One(u32),
+    Many(Box<[u32]>),
+}
+
+impl Slots {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Slots::One(p) => std::slice::from_ref(p),
+            Slots::Many(ps) => ps,
+        }
+    }
+
+    /// Append a position; only collisions get here, so the copy is cheap.
+    fn push(&mut self, pos: u32) {
+        *self = Slots::Many(self.as_slice().iter().copied().chain([pos]).collect());
+    }
+}
+
 /// A set-semantics relation instance: dedup on insert, deterministic
 /// (insertion-order) iteration.
 ///
@@ -354,7 +407,7 @@ pub struct Relation {
     pub schema: RelSchema,
     tuples: Vec<Tuple>,
     #[serde(skip)]
-    seen: HashMap<u64, Vec<u32>>,
+    seen: HashMap<u64, Slots, PreHashed>,
     #[serde(skip)]
     indexes: RwLock<HashMap<Vec<usize>, Arc<RelIndex>>>,
     #[serde(skip)]
@@ -376,10 +429,16 @@ impl Clone for Relation {
 
 impl Relation {
     pub fn new(schema: RelSchema) -> Self {
+        Relation::with_capacity(schema, 0)
+    }
+
+    /// An empty relation with room for `n` tuples before reallocating —
+    /// for decoders that know the count up front.
+    pub fn with_capacity(schema: RelSchema, n: usize) -> Self {
         Relation {
             schema,
-            tuples: Vec::new(),
-            seen: HashMap::new(),
+            tuples: Vec::with_capacity(n),
+            seen: HashMap::with_capacity_and_hasher(n, PreHashed::default()),
             indexes: RwLock::default(),
             stats: RwLock::default(),
         }
@@ -408,13 +467,18 @@ impl Relation {
     /// Insert without the arity debug-check. Only for tests that exercise
     /// the instance validator's handling of malformed data.
     pub fn insert_unchecked(&mut self, tuple: Tuple) -> bool {
-        let h = tuple.hash64();
-        let group = self.seen.entry(h).or_default();
-        if group.iter().any(|&p| self.tuples[p as usize] == tuple) {
-            return false;
-        }
         let pos = self.tuples.len() as u32;
-        group.push(pos);
+        match self.seen.entry(tuple.hash64()) {
+            Entry::Vacant(e) => {
+                e.insert(Slots::One(pos));
+            }
+            Entry::Occupied(mut e) => {
+                if e.get().as_slice().iter().any(|&p| self.tuples[p as usize] == tuple) {
+                    return false;
+                }
+                e.get_mut().push(pos);
+            }
+        }
         for idx in self.indexes.get_mut().values_mut() {
             Arc::make_mut(idx).add(pos, &tuple);
         }
@@ -426,46 +490,53 @@ impl Relation {
     }
 
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.seen
-            .get(&tuple.hash64())
-            .is_some_and(|g| g.iter().any(|&p| self.tuples[p as usize] == *tuple))
+        self.positions_of(tuple.hash64()).iter().any(|&p| self.tuples[p as usize] == *tuple)
     }
 
     /// Membership check against a value slice without building a tuple —
     /// the chase's head-satisfaction fast path fills one reusable buffer
     /// per candidate firing and asks this instead of allocating.
     pub fn contains_values(&self, values: &[Value]) -> bool {
-        self.seen
-            .get(&hash_values(values))
-            .is_some_and(|g| g.iter().any(|&p| self.tuples[p as usize].values() == values))
+        self.positions_of(hash_values(values))
+            .iter()
+            .any(|&p| self.tuples[p as usize].values() == values)
+    }
+
+    /// Insertion positions of the stored tuples whose hash is `h`.
+    fn positions_of(&self, h: u64) -> &[u32] {
+        self.seen.get(&h).map_or(&[], Slots::as_slice)
     }
 
     /// Remove a tuple; returns `true` if it was present.
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        let h = tuple.hash64();
-        let present = self
-            .seen
-            .get(&h)
-            .is_some_and(|g| g.iter().any(|&p| self.tuples[p as usize] == *tuple));
-        if !present {
+        if !self.contains(tuple) {
             return false;
         }
-        // O(n); deletions are rare relative to scans in this engine
-        if let Some(pos) = self.tuples.iter().position(|t| t == tuple) {
-            self.tuples.remove(pos);
-        }
-        // removal shifts insertion positions: rebuild the dedup map and
-        // drop the index/stats caches rather than patching every bucket
-        self.rebuild_seen();
-        self.indexes.get_mut().clear();
-        *self.stats.get_mut() = None;
+        self.retain(|t| t != tuple);
         true
+    }
+
+    /// Keep only the tuples satisfying `keep`, preserving insertion order;
+    /// returns how many were removed. One O(n) pass and one dedup rebuild
+    /// however many tuples go — batch removals through this rather than
+    /// calling [`Relation::remove`] per tuple.
+    pub fn retain(&mut self, keep: impl FnMut(&Tuple) -> bool) -> usize {
+        let before = self.tuples.len();
+        self.tuples.retain(keep);
+        let removed = before - self.tuples.len();
+        if removed > 0 {
+            // removal shifts insertion positions: rebuild the dedup map
+            // and drop the index/stats caches rather than patching them
+            self.rebuild_index();
+        }
+        removed
     }
 
     fn rebuild_seen(&mut self) {
         self.seen.clear();
         for (i, t) in self.tuples.iter().enumerate() {
-            self.seen.entry(t.hash64()).or_default().push(i as u32);
+            let pos = i as u32;
+            self.seen.entry(t.hash64()).and_modify(|s| s.push(pos)).or_insert(Slots::One(pos));
         }
     }
 
@@ -636,6 +707,59 @@ mod tests {
         assert!(r.insert(t(1, "x"))); // can be re-inserted
     }
 
+    /// A tuple whose cached hash is forced to `hash`: the only way to
+    /// reach the 64-bit collision branch of the dedup map on demand.
+    fn forced(hash: u64, vals: &[Value]) -> Tuple {
+        Tuple { hash, repr: Repr::Spilled(vals.into()) }
+    }
+
+    #[test]
+    fn colliding_hashes_share_a_slot_and_stay_distinct() {
+        let a = t(1, "x");
+        let h = a.hash64();
+        let b = forced(h, &[Value::Int(2), Value::text("y")]);
+        let c = forced(h, &[Value::Int(3), Value::text("z")]);
+        let mut r = r2("a", "b");
+        assert!(r.insert(b.clone()));
+        assert!(r.insert(a.clone())); // spills the slot to a list
+        assert!(r.insert(c.clone())); // grows the list
+        assert!(!r.insert(a.clone()) && !r.insert(b.clone()) && !r.insert(c.clone()));
+        assert_eq!(r.len(), 3);
+        assert!(r.contains(&a) && r.contains(&b) && r.contains(&c));
+        // the slice probe walks past the colliding entry stored first
+        assert!(r.contains_values(a.values()));
+        assert!(!r.contains(&forced(h, &[Value::Int(9), Value::text("q")])));
+
+        let copy = r.clone();
+        assert_eq!(copy.len(), 3);
+        assert!(copy.contains(&a) && copy.contains(&b) && copy.contains(&c));
+
+        assert!(r.remove(&b));
+        assert!(!r.remove(&b));
+        assert!(!r.contains(&b) && r.contains(&a) && r.contains(&c));
+        assert_eq!(r.tuples(), &[a.clone(), c.clone()]);
+        assert!(r.contains_values(a.values()));
+        assert!(r.insert(b.clone()));
+        assert_eq!(r.tuples(), &[a, c, b]);
+        assert!(copy.contains(&t(1, "x")), "the clone is independent of later removals");
+    }
+
+    #[test]
+    fn retain_removes_in_one_pass_and_keeps_order() {
+        let mut r = r2("a", "b");
+        for i in 0..6 {
+            r.insert(t(i, "x"));
+        }
+        let _warm = r.index(&[0]);
+        let removed = r.retain(|tp| matches!(tp.get(0), Some(Value::Int(i)) if i % 2 == 1));
+        assert_eq!(removed, 3);
+        assert_eq!(r.tuples(), &[t(1, "x"), t(3, "x"), t(5, "x")]);
+        assert!(!r.contains(&t(2, "x")) && r.contains(&t(3, "x")));
+        assert_eq!(r.index(&[0]).probe(&[Value::Int(5)]), &[2]);
+        assert_eq!(r.retain(|_| true), 0);
+        assert!(r.insert(t(2, "x")));
+    }
+
     #[test]
     fn set_equality_ignores_order() {
         let mut a = r2("a", "b");
@@ -682,6 +806,25 @@ mod tests {
         assert_eq!(tp.hash64(), hash_values(&vals));
         let uncached = intern::with_compact(false, || Tuple::from_slice(&vals));
         assert_eq!(uncached.hash64(), hash_values(&vals));
+    }
+
+    #[test]
+    fn hash_values_spreads_small_keys_across_the_low_bits() {
+        // hash tables pick buckets by the low bits: small ints (zero low
+        // mantissa bits) and late-differing strings must still spread
+        // there like random keys (~2 590 of 4 096 12-bit buckets hit)
+        let low12 = |keys: Vec<Vec<Value>>| {
+            let hit: std::collections::HashSet<u64> =
+                keys.iter().map(|k| hash_values(k) & 0xFFF).collect();
+            hit.len()
+        };
+        let ints = (0..4096).map(|i| vec![Value::Int(i)]).collect();
+        let pairs = (0..4096).map(|i| vec![Value::Int(i % 64), Value::Int(i / 64)]).collect();
+        let texts = (0..4096).map(|i| vec![Value::text(format!("customer-{i:06}"))]).collect();
+        for (what, keys) in [("ints", ints), ("pairs", pairs), ("texts", texts)] {
+            let hit = low12(keys);
+            assert!(hit > 2400, "{what}: only {hit} of 4096 low-bit buckets hit");
+        }
     }
 
     #[test]

@@ -32,9 +32,12 @@ impl std::error::Error for DecodeError {}
 
 pub type DecodeResult<T> = Result<T, DecodeError>;
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3, reflected) slicing-by-16 tables, built at compile
+/// time. Row 0 is the classic bytewise table; row `k` is the CRC of a
+/// byte followed by `k` zero bytes, so one step can fold 16 input bytes
+/// with 16 independent lookups.
+const CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -43,19 +46,52 @@ const CRC32_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut row = 1;
+    while row < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[row - 1][i];
+            t[row][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        row += 1;
+    }
+    t
 };
 
-/// CRC32 (IEEE) checksum — guards every WAL frame and snapshot body
-/// against torn writes and bit rot. Hand-rolled because no checksum
-/// crate is in the dependency budget.
+/// CRC32 (IEEE) checksum — guards every wire frame, WAL frame and
+/// snapshot body against torn writes and bit rot. Slicing-by-16:
+/// bit-identical to the bytewise table walk (the test oracle below), so
+/// every checksum ever written still verifies. Hand-rolled because no
+/// checksum crate is in the dependency budget.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let (blocks, tail) = bytes.as_chunks::<16>();
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    for b in blocks {
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -135,6 +171,11 @@ impl Reader {
         self.buf.is_empty()
     }
 
+    /// Bytes left to read.
+    pub fn remaining(&self) -> usize {
+        self.buf.remaining()
+    }
+
     fn need(&self, n: usize) -> DecodeResult<()> {
         if self.buf.remaining() < n {
             Err(DecodeError(format!("truncated: need {n}, have {}", self.buf.remaining())))
@@ -178,12 +219,22 @@ impl Reader {
     }
 
     pub fn str(&mut self) -> DecodeResult<String> {
-        // the same pre-allocation bound as `seq`: the length prefix must
-        // fit in the remaining buffer before any allocation happens, so
-        // an adversarial prefix cannot trigger an oversized allocation
+        self.with_str(str::to_owned)
+    }
+
+    /// Read a length-prefixed string and hand it to `f` borrowed from the
+    /// buffer: UTF-8 is validated in place and nothing is copied unless
+    /// `f` copies it (the text-value decoder interns straight from the
+    /// borrow). The length prefix goes through the same bound as `seq`,
+    /// so an adversarial prefix errors before any work is done.
+    pub fn with_str<T>(&mut self, f: impl FnOnce(&str) -> T) -> DecodeResult<T> {
         let n = self.seq_len()?;
-        let bytes = self.buf.copy_to_bytes(n);
-        String::from_utf8(bytes.to_vec()).map_err(|e| DecodeError(e.to_string()))
+        let out = match std::str::from_utf8(&self.buf[..n]) {
+            Ok(s) => f(s),
+            Err(e) => return Err(DecodeError(e.to_string())),
+        };
+        self.buf.advance(n);
+        Ok(out)
     }
 
     /// Read a `u32` length prefix, bounded by the remaining buffer —
@@ -1130,9 +1181,10 @@ impl Decode for Value {
             0 => Value::Int(r.i64()?),
             1 => Value::Double(r.f64()?),
             2 => Value::Bool(r.bool()?),
-            // interns on decode (bounded; oversized/overflow text stays
-            // owned), so recovered instances land warm in the pool
-            3 => Value::text(r.str()?),
+            // interns on decode straight from the borrowed buffer
+            // (bounded; oversized/overflow text is the only copy), so
+            // recovered instances land warm in the pool
+            3 => r.with_str(|s| Value::text(s))?,
             4 => Value::Date(r.i32()?),
             5 => Value::Null,
             6 => Value::Labeled(r.u64()?),
@@ -1149,7 +1201,8 @@ impl Encode for Tuple {
 
 impl Decode for Tuple {
     fn decode(r: &mut Reader) -> DecodeResult<Self> {
-        Ok(Tuple::new(r.seq(Value::decode)?))
+        let arity = r.seq_len()?;
+        Tuple::try_from_fn(arity, |_| Value::decode(r))
     }
 }
 
@@ -1163,8 +1216,14 @@ impl Encode for Relation {
 impl Decode for Relation {
     fn decode(r: &mut Reader) -> DecodeResult<Self> {
         let attributes = r.seq(Attribute::decode)?;
-        let tuples = r.seq(Tuple::decode)?;
-        Ok(Relation::with_tuples(RelSchema::new(attributes), tuples))
+        let n = r.seq_len()?;
+        // every encoded tuple carries at least its u32 arity prefix
+        let reserve = n.min(r.remaining() / 4);
+        let mut rel = Relation::with_capacity(RelSchema::new(attributes), reserve);
+        for _ in 0..n {
+            rel.insert(Tuple::decode(r)?);
+        }
+        Ok(rel)
     }
 }
 
@@ -1329,6 +1388,142 @@ mod tests {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    /// The bytewise table walk: the single oracle for [`crc32`].
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        #[test]
+        fn crc32_slicing_matches_bytewise(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..4097,
+            start in 0usize..16,
+        ) {
+            // one shared buffer, every start offset: exercises each
+            // alignment of the 16-byte blocks against the bytewise tail
+            let mut x = seed | 1;
+            let buf: Vec<u8> = (0..4096 + 16)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            let slice = &buf[start..start + len];
+            proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_block_boundary() {
+        let buf: Vec<u8> = (0..200u32).map(|i| (i.wrapping_mul(73) ^ 0x5A) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=buf.len() - start {
+                let slice = &buf[start..start + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "start {start} len {len}");
+            }
+        }
+    }
+
+    fn encoded<T: Encode>(v: &T) -> Bytes {
+        let mut w = Writer::new();
+        v.encode(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn text_at_the_intern_bound_decodes_to_the_right_form() {
+        use mm_instance::intern::MAX_INTERN_LEN;
+        let at = encoded(&Value::Text("a".repeat(MAX_INTERN_LEN)));
+        let past = encoded(&Value::Text("b".repeat(MAX_INTERN_LEN + 1)));
+        let (v_at, v_past) = mm_instance::intern::with_compact(true, || {
+            (
+                Value::decode(&mut Reader::new(at.clone())).expect("decode"),
+                Value::decode(&mut Reader::new(past.clone())).expect("decode"),
+            )
+        });
+        assert!(matches!(v_at, Value::Sym(_)), "{v_at:?}");
+        assert!(matches!(v_past, Value::Text(_)), "{v_past:?}");
+        assert_eq!(encoded(&v_at), at);
+        assert_eq!(encoded(&v_past), past);
+    }
+
+    #[test]
+    fn invalid_utf8_text_is_a_decode_error() {
+        let mut w = Writer::new();
+        w.u8(3); // Value::Text tag
+        w.u32(3);
+        w.u8(b'o');
+        w.u8(0xFF); // never valid in UTF-8
+        w.u8(b'k');
+        let bytes = w.finish();
+        assert!(Value::decode(&mut Reader::new(bytes.clone())).is_err());
+        assert!(Reader::new(bytes.slice(1..bytes.len())).str().is_err());
+        // a tuple carrying it fails the same way, inline or spilled
+        for arity in [1u32, 5] {
+            let mut w = Writer::new();
+            w.u32(arity);
+            for _ in 1..arity {
+                Value::Int(0).encode(&mut w);
+            }
+            let mut body = w.finish().to_vec();
+            body.extend_from_slice(&bytes);
+            assert!(Tuple::decode(&mut Reader::new(Bytes::from(body))).is_err());
+        }
+    }
+
+    #[test]
+    fn tuples_across_the_inline_boundary_roundtrip_bit_identically() {
+        for arity in [0, 4, 5] {
+            let vals: Vec<Value> = (0..arity)
+                .map(|i| if i % 2 == 0 { Value::Int(i) } else { Value::text(format!("v{i}")) })
+                .collect();
+            let t = Tuple::new(vals.clone());
+            let bytes = encoded(&t);
+            let mut r = Reader::new(bytes.clone());
+            let back = Tuple::decode(&mut r).expect("decode");
+            assert!(r.is_empty());
+            assert_eq!(back, t);
+            assert_eq!(back.values(), &vals[..]);
+            assert_eq!(back.hash64(), mm_instance::hash_values(&vals));
+            assert_eq!(encoded(&back), bytes, "arity {arity}");
+        }
+    }
+
+    #[test]
+    fn baseline_decode_reencodes_bit_identically() {
+        let mut rel = Relation::new(RelSchema::of(&[
+            ("a", DataType::Int),
+            ("b", DataType::Text),
+            ("c", DataType::Any),
+            ("d", DataType::Any),
+            ("e", DataType::Any),
+        ]));
+        for i in 0..20i64 {
+            rel.insert(Tuple::new(vec![
+                Value::Int(i % 7),
+                Value::text(format!("name-{}", i % 5)),
+                Value::Labeled(i as u64),
+                Value::Null,
+                Value::Double(i as f64 / 4.0),
+            ]));
+        }
+        let bytes = encoded(&rel);
+        let back = mm_instance::intern::with_compact(false, || {
+            Relation::decode(&mut Reader::new(bytes.clone())).expect("decode")
+        });
+        assert!(back.iter().flat_map(Tuple::values).all(|v| !matches!(v, Value::Sym(_))));
+        assert_eq!(back, rel);
+        assert_eq!(encoded(&back), bytes);
     }
 
     #[test]

@@ -805,7 +805,11 @@ fn process(shared: &Arc<Shared>, job: &Job) {
         encode_err(job.req_id, ERR_BAD_CRC, "payload checksum mismatch")
     } else {
         let body = job.frame.payload.slice(protocol::PRELUDE_LEN..job.frame.payload.len());
-        match protocol::decode_request(job.op, &mut mm_repository::codec::Reader::new(body)) {
+        let decode_start = clock::now();
+        let decoded =
+            protocol::decode_request(job.op, &mut mm_repository::codec::Reader::new(body));
+        tel.observe_hist(Hist::ServerDecodeUs, clock::elapsed_us(decode_start));
+        match decoded {
             Err(fault) => {
                 code = fault.code();
                 encode_err(job.req_id, code, &fault.to_string())
@@ -822,7 +826,10 @@ fn process(shared: &Arc<Shared>, job: &Job) {
                 match outcome {
                     Ok(body) => {
                         degraded = body_degraded(&body);
-                        encode_ok(job.req_id, &body)
+                        let encode_start = clock::now();
+                        let reply = encode_ok(job.req_id, &body);
+                        tel.observe_hist(Hist::ServerEncodeUs, clock::elapsed_us(encode_start));
+                        reply
                     }
                     Err((c, message)) => {
                         if c == ERR_DEADLINE_EXCEEDED {

@@ -285,6 +285,11 @@ pub enum Hist {
     ServerServiceUs,
     /// Time a request spent queued before a worker picked it up, µs.
     ServerQueueWaitUs,
+    /// Request body decode (wire bytes to typed request, interning
+    /// included), µs.
+    ServerDecodeUs,
+    /// Success reply encode (typed body to wire bytes), µs.
+    ServerEncodeUs,
     /// Duration of one chase fixpoint round (st chase counts its single
     /// pass as one round), µs.
     ChaseRoundUs,
@@ -306,6 +311,8 @@ impl Hist {
         match self {
             Hist::ServerServiceUs => "server.service_us",
             Hist::ServerQueueWaitUs => "server.queue_wait_us",
+            Hist::ServerDecodeUs => "server.decode_us",
+            Hist::ServerEncodeUs => "server.encode_us",
             Hist::ChaseRoundUs => "chase.round_us",
             Hist::WalAppendUs => "wal.append_us",
             Hist::WalCheckpointUs => "wal.checkpoint_us",
@@ -318,6 +325,8 @@ impl Hist {
         [
             Hist::ServerServiceUs,
             Hist::ServerQueueWaitUs,
+            Hist::ServerDecodeUs,
+            Hist::ServerEncodeUs,
             Hist::ChaseRoundUs,
             Hist::WalAppendUs,
             Hist::WalCheckpointUs,

@@ -552,6 +552,40 @@ fn metrics_snapshot_elides_empty_histograms_and_is_byte_stable() {
     assert_eq!(snap.to_string(), m.snapshot().to_string());
 }
 
+/// The server's per-layer decode/encode histograms carry the wirebench
+/// ledger's names, stay elided until a data-plane request runs, and read
+/// back over the wire Metrics op — one observation each per request.
+#[test]
+fn server_decode_and_encode_histograms_read_back_over_the_wire() {
+    let (src, tgt, m, db) = join_scenario();
+    let tel = Telemetry::new(RingCollector::with_capacity(256));
+    let engine = engine_with(src, tgt, m, tel);
+    let handle = mm_server::Server::start(engine, mm_server::ServerConfig::default()).unwrap();
+    let mut client = mm_server::Client::connect(handle.addr()).unwrap();
+    let read = |metrics: &[(String, u64)], key: &str| {
+        metrics.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    };
+
+    let fresh = client.metrics().unwrap();
+    assert!(
+        fresh.iter().all(|(k, _)| !k.starts_with("server.decode_us")
+            && !k.starts_with("server.encode_us")),
+        "untouched decode/encode histograms must be elided: {fresh:?}"
+    );
+
+    let (out, _) = client.exchange("m", "Tgt", &db).unwrap();
+    assert_eq!(out.relation("U").map(Relation::len), Some(4));
+    let after = client.metrics().unwrap();
+    for layer in ["server.decode_us", "server.encode_us"] {
+        assert_eq!(read(&after, &format!("{layer}_count")), Some(1), "{layer}: {after:?}");
+        for q in ["_p50", "_p90", "_p99", "_max"] {
+            assert!(read(&after, &format!("{layer}{q}")).is_some(), "{layer}{q}: {after:?}");
+        }
+    }
+    drop(client);
+    handle.shutdown().unwrap();
+}
+
 /// Satellite: the log-bucketed histogram never panics, reports count
 /// and max exactly, and its quantiles are monotone upper bounds on the
 /// true order statistics within the promised 2x relative error.
