@@ -2,6 +2,7 @@
 //! composition used by Figure 6).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mm_bench::compose_plain;
 use mm_engine::prelude::*;
 use mm_workload::composition_chain;
 
@@ -14,7 +15,7 @@ fn bench_sotgd_composition(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("p{producers}_b{body_atoms}")),
             &(m12, m23),
             |b, (m12, m23)| {
-                b.iter(|| compose_st_tgds(m12, m23, 1 << 22).expect("within bound"))
+                b.iter(|| compose_plain(m12, m23, 1 << 22).expect("within bound"))
             },
         );
     }
@@ -23,7 +24,7 @@ fn bench_sotgd_composition(c: &mut Criterion) {
 
 fn bench_deskolemize(c: &mut Criterion) {
     let (_, _, _, m12, m23) = composition_chain(2, 6);
-    let so = compose_st_tgds(&m12, &m23, 1 << 22).expect("compose");
+    let so = compose_plain(&m12, &m23, 1 << 22).expect("compose");
     c.bench_function("eq1_deskolemize_attempt", |b| b.iter(|| try_deskolemize(&so)));
 }
 

@@ -20,7 +20,7 @@
 //! asserted at every point.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use mm_bench::timed;
+use mm_bench::{chase_budgeted, homs_at, homs_costed, timed};
 use mm_engine::prelude::*;
 use mm_workload::{copy_tgds, faults, skew, tgds::binary_schema};
 use std::io::Write as _;
@@ -81,7 +81,7 @@ fn bench_cq_join(c: &mut Criterion) {
         let seed = std::collections::HashMap::new();
         group.bench_with_input(BenchmarkId::new("indexed", rows), &(), |b, _| {
             b.iter(|| {
-                find_homomorphisms_governed(&body, &db, &seed, &mut Governor::new(&budget))
+                homs_at(&body, &db, &seed, &budget, 1, &Telemetry::disabled())
                     .expect("unbounded")
             })
         });
@@ -105,13 +105,13 @@ fn bench_cq_skew(c: &mut Criterion) {
     for (name, db, body) in skew_workloads(SKEW_SIZES[1]) {
         group.bench_with_input(BenchmarkId::new("greedy", name), &(), |b, _| {
             b.iter(|| {
-                find_homomorphisms_governed(&body, &db, &seed, &mut Governor::new(&budget))
+                homs_at(&body, &db, &seed, &budget, 1, &Telemetry::disabled())
                     .expect("unbounded")
             })
         });
         group.bench_with_input(BenchmarkId::new("costed", name), &(), |b, _| {
             b.iter(|| {
-                find_homomorphisms_costed(&body, &db, &seed, &mut Governor::new(&budget))
+                homs_costed(&body, &db, &seed, &budget)
                     .expect("unbounded")
             })
         });
@@ -127,7 +127,7 @@ fn bench_chase_exchange(c: &mut Criterion) {
     for rows in CHASE_SIZES {
         let (tgt, tgds, db) = exchange_setup(4, rows);
         group.bench_with_input(BenchmarkId::new("semi_naive_indexed", rows), &(), |b, _| {
-            b.iter(|| chase_st_governed(&tgt, &tgds, &db, &budget).expect("unbounded"))
+            b.iter(|| chase_budgeted(&tgt, &tgds, &db, &budget).expect("unbounded"))
         });
         if rows <= 1_000 {
             // the reference is quadratic; keep criterion runs bounded
@@ -188,7 +188,7 @@ fn emit_baseline() {
         let body = tgds[0].body.clone();
         let seed = std::collections::HashMap::new();
         let (fast, fast_t) = timed(|| {
-            find_homomorphisms_governed(&body, &db, &seed, &mut Governor::new(&budget))
+            homs_at(&body, &db, &seed, &budget, 1, &Telemetry::disabled())
                 .expect("unbounded")
         });
         let (naive, naive_t) = timed(|| {
@@ -201,7 +201,7 @@ fn emit_baseline() {
 
     for rows in CHASE_SIZES {
         let (tgt, tgds, db) = exchange_setup(4, rows);
-        let (fast, fast_t) = timed(|| chase_st_governed(&tgt, &tgds, &db, &budget).expect("ok"));
+        let (fast, fast_t) = timed(|| chase_budgeted(&tgt, &tgds, &db, &budget).expect("ok"));
         let (reference, naive_t) =
             timed(|| chase_st_reference(&tgt, &tgds, &db, &budget).expect("ok"));
         assert_eq!(fast, reference, "semi-naive chase diverged from the reference");
@@ -220,11 +220,11 @@ fn emit_baseline() {
         for (name, db, body) in skew_workloads(rows) {
             let (greedy, greedy_t, costed, costed_t) = timed_pair(
                 || {
-                    find_homomorphisms_governed(&body, &db, &seed, &mut Governor::new(&budget))
+                    homs_at(&body, &db, &seed, &budget, 1, &Telemetry::disabled())
                         .expect("unbounded")
                 },
                 || {
-                    find_homomorphisms_costed(&body, &db, &seed, &mut Governor::new(&budget))
+                    homs_costed(&body, &db, &seed, &budget)
                         .expect("unbounded")
                 },
                 3,
@@ -250,11 +250,11 @@ fn emit_baseline() {
         let body = tgds[0].body.clone();
         let (greedy, greedy_t, costed, costed_t) = timed_pair(
             || {
-                find_homomorphisms_governed(&body, &db, &seed, &mut Governor::new(&budget))
+                homs_at(&body, &db, &seed, &budget, 1, &Telemetry::disabled())
                     .expect("unbounded")
             },
             || {
-                find_homomorphisms_costed(&body, &db, &seed, &mut Governor::new(&budget))
+                homs_costed(&body, &db, &seed, &budget)
                     .expect("unbounded")
             },
             5,

@@ -8,6 +8,7 @@
 //!   and the mediator degrades from collapsed to chained execution?
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mm_bench::{chase_budgeted, chase_plain};
 use mm_engine::prelude::*;
 use mm_workload::{copy_tgds, tgds::binary_schema};
 
@@ -27,21 +28,21 @@ fn exchange_setup(relations: usize, rows: usize) -> (Schema, Vec<Tgd>, Database)
     (tgt, tgds, db)
 }
 
-/// Governed (unbounded budget) vs legacy ungoverned chase on the same
-/// exchange workload. The two paths are the same code — `chase_st` is a
-/// wrapper over `chase_st_governed` — so the delta is purely the meter:
-/// counter bumps plus an amortized cancel/deadline poll every 1024 steps.
+/// Unbounded vs capped budgets on the same exchange workload. Every
+/// chase runs under a governor, so the "ungoverned" and "governed" legs
+/// are the same code (an unbounded budget) and their delta is noise;
+/// the capped leg adds the comparison branches of live caps.
 fn bench_governed_chase_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("governance_chase_overhead");
     group.sample_size(10);
     for rows in [1_000usize, 5_000] {
         let (tgt, tgds, db) = exchange_setup(4, rows);
         group.bench_with_input(BenchmarkId::new("ungoverned", rows), &(), |b, _| {
-            b.iter(|| chase_st(&tgt, &tgds, &db))
+            b.iter(|| chase_plain(&tgt, &tgds, &db))
         });
         let budget = ExecBudget::unbounded();
         group.bench_with_input(BenchmarkId::new("governed", rows), &(), |b, _| {
-            b.iter(|| chase_st_governed(&tgt, &tgds, &db, &budget).expect("unbounded"))
+            b.iter(|| chase_budgeted(&tgt, &tgds, &db, &budget).expect("unbounded"))
         });
         // A budget with live caps exercises the comparison branches too.
         let capped = ExecBudget::unbounded()
@@ -49,7 +50,7 @@ fn bench_governed_chase_overhead(c: &mut Criterion) {
             .with_rows(u64::MAX)
             .with_rounds(u64::MAX);
         group.bench_with_input(BenchmarkId::new("governed_capped", rows), &(), |b, _| {
-            b.iter(|| chase_st_governed(&tgt, &tgds, &db, &capped).expect("loose caps"))
+            b.iter(|| chase_budgeted(&tgt, &tgds, &db, &capped).expect("loose caps"))
         });
     }
     group.finish();

@@ -11,10 +11,13 @@
 //! scaling gate only arms when the host actually has ≥ 4 cores.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use mm_bench::timed;
+use mm_bench::{chase_at, homs_at, timed};
 use mm_engine::prelude::*;
 use mm_workload::faults;
 use std::io::Write as _;
+
+/// Every parallel point runs untraced.
+const OFF: Telemetry = Telemetry::disabled();
 
 const THREAD_CURVE: [usize; 4] = [1, 2, 4, 8];
 /// Scaling demanded at 4 threads — asserted only on hosts with ≥ 4 cores.
@@ -99,7 +102,7 @@ fn bench_parallel_chase(c: &mut Criterion) {
     for threads in THREAD_CURVE {
         group.bench_with_input(BenchmarkId::new("threads", threads), &(), |b, _| {
             b.iter(|| {
-                chase_st_parallel(&tgt, &program, &db, &budget, threads).expect("unbounded")
+                chase_at(&tgt, &program, &db, &budget, threads, &OFF).expect("unbounded")
             })
         });
     }
@@ -115,13 +118,7 @@ fn bench_parallel_cq(c: &mut Criterion) {
     for threads in THREAD_CURVE {
         group.bench_with_input(BenchmarkId::new("threads", threads), &(), |b, _| {
             b.iter(|| {
-                find_homomorphisms_parallel(
-                    &body,
-                    &db,
-                    &seed,
-                    threads,
-                    &mut Governor::new(&budget),
-                )
+                homs_at(&body, &db, &seed, &budget, threads, &OFF)
                 .expect("unbounded")
             })
         });
@@ -162,11 +159,11 @@ fn emit_baseline() {
     {
         let (tgt, db, program) = chase_setup();
         let (oracle, base_t) =
-            timed(|| chase_st_parallel(&tgt, &program, &db, &budget, 1).expect("unbounded"));
+            timed(|| chase_at(&tgt, &program, &db, &budget, 1, &OFF).expect("unbounded"));
         points.push(point_json("chase_st", 1, ms(base_t), 1.0));
         for threads in &THREAD_CURVE[1..] {
             let (par, t) = timed(|| {
-                chase_st_parallel(&tgt, &program, &db, &budget, *threads).expect("unbounded")
+                chase_at(&tgt, &program, &db, &budget, *threads, &OFF).expect("unbounded")
             });
             assert_eq!(par, oracle, "parallel chase diverged at threads={threads}");
             let speedup = ms(base_t) / ms(t).max(1e-6);
@@ -181,16 +178,12 @@ fn emit_baseline() {
         let (db, body) = cq_setup();
         let seed = std::collections::HashMap::new();
         let (oracle, base_t) = timed(|| {
-            find_homomorphisms_parallel(&body, &db, &seed, 1, &mut Governor::new(&budget))
-                .expect("unbounded")
-                .0
+            homs_at(&body, &db, &seed, &budget, 1, &OFF).expect("unbounded")
         });
         points.push(point_json("cq_self_join", 1, ms(base_t), 1.0));
         for threads in &THREAD_CURVE[1..] {
             let (par, t) = timed(|| {
-                find_homomorphisms_parallel(&body, &db, &seed, *threads, &mut Governor::new(&budget))
-                    .expect("unbounded")
-                    .0
+                homs_at(&body, &db, &seed, &budget, *threads, &OFF).expect("unbounded")
             });
             assert_eq!(par, oracle, "parallel CQ eval diverged at threads={threads}");
             let speedup = ms(base_t) / ms(t).max(1e-6);

@@ -28,7 +28,7 @@
 //! flagged as shape-only evidence.
 
 use criterion::{criterion_group, Criterion};
-use mm_bench::timed;
+use mm_bench::{chase_at, chase_budgeted, chase_plain, homs_plain, timed};
 use mm_engine::prelude::*;
 use mm_instance::intern::with_compact;
 use mm_repository::codec::{Encode, Writer};
@@ -95,11 +95,11 @@ fn run_leg(
         let sc = scenario(tier, SEED);
         match path {
             "chase" => {
-                let ((out, _), t) = timed(|| chase_st(&sc.target, &sc.tgds, &sc.db));
+                let ((out, _), t) = timed(|| chase_plain(&sc.target, &sc.tgds, &sc.db));
                 (db_bytes(&out), ms(t))
             }
             "cq" => {
-                let (homs, t) = timed(|| find_homomorphisms(&sc.query, &sc.db));
+                let (homs, t) = timed(|| homs_plain(&sc.query, &sc.db));
                 (homs_bytes(&homs), ms(t))
             }
             other => unreachable!("unknown path {other}"),
@@ -124,11 +124,11 @@ fn bench_scale_chase(c: &mut Criterion) {
     for (name, f) in scenario_fns() {
         let sc = f(10_000, SEED);
         group.bench_function(format!("{name}/compact"), |b| {
-            b.iter(|| chase_st(&sc.target, &sc.tgds, &sc.db))
+            b.iter(|| chase_plain(&sc.target, &sc.tgds, &sc.db))
         });
         let base = with_compact(false, || f(10_000, SEED));
         group.bench_function(format!("{name}/baseline"), |b| {
-            b.iter(|| with_compact(false, || chase_st(&base.target, &base.tgds, &base.db)))
+            b.iter(|| with_compact(false, || chase_plain(&base.target, &base.tgds, &base.db)))
         });
     }
     group.finish();
@@ -140,7 +140,7 @@ fn bench_scale_cq(c: &mut Criterion) {
     for (name, f) in scenario_fns() {
         let sc = f(10_000, SEED);
         group.bench_function(format!("{name}/compact"), |b| {
-            b.iter(|| find_homomorphisms(&sc.query, &sc.db))
+            b.iter(|| homs_plain(&sc.query, &sc.db))
         });
     }
     group.finish();
@@ -204,13 +204,13 @@ fn mid_tier() -> usize {
 fn thread_cell(points: &mut Vec<Point>) {
     let sc = snowflake_scale(mid_tier(), SEED);
     let program = ChaseProgram::compile(&sc.tgds, &sc.db);
-    let budget = ExecBudget::unbounded();
+    let (budget, off) = (ExecBudget::unbounded(), Telemetry::disabled());
     let (seq, t1) = timed(|| {
-        chase_st_parallel(&sc.target, &program, &sc.db, &budget, 1).expect("unbounded")
+        chase_at(&sc.target, &program, &sc.db, &budget, 1, &off).expect("unbounded")
     });
     let host = mm_parallel::available_parallelism();
     let (par, tn) = timed(|| {
-        chase_st_parallel(&sc.target, &program, &sc.db, &budget, host).expect("unbounded")
+        chase_at(&sc.target, &program, &sc.db, &budget, host, &off).expect("unbounded")
     });
     assert_eq!(db_bytes(&seq.0), db_bytes(&par.0), "parallel chase diverged at scale");
     println!(
@@ -230,14 +230,14 @@ fn budget_cell(points: &mut Vec<Point>) {
     // generous: completes identically to the unbudgeted run
     let generous = ExecBudget::unbounded().with_steps(u64::MAX / 2);
     let (full, t_ok) = timed(|| {
-        chase_st_governed(&sc.target, &sc.tgds, &sc.db, &generous).expect("generous budget")
+        chase_budgeted(&sc.target, &sc.tgds, &sc.db, &generous).expect("generous budget")
     });
-    let (plain, _) = chase_st(&sc.target, &sc.tgds, &sc.db);
+    let (plain, _) = chase_plain(&sc.target, &sc.tgds, &sc.db);
     assert_eq!(db_bytes(&full.0), db_bytes(&plain), "budgeted chase diverged");
     // tight: trips with a typed error, never a panic or partial commit
     let tight = ExecBudget::unbounded().with_steps(1_000);
     let (tripped, t_trip) =
-        timed(|| chase_st_governed(&sc.target, &sc.tgds, &sc.db, &tight));
+        timed(|| chase_budgeted(&sc.target, &sc.tgds, &sc.db, &tight));
     assert!(tripped.is_err(), "a 1k-step budget must trip at the mid tier");
     println!(
         "matrix budgets      tier {:>9}: generous {:>10.1} ms  tight trips in {:>7.1} ms",

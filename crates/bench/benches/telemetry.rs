@@ -9,8 +9,17 @@
 //! instrumented paths return bit-identical results, and writes the
 //! baseline at the workspace root (the vendored criterion stub emits no
 //! files).
+//!
+//! Each operator has a single entry point that takes its telemetry
+//! handle as an option, so there is no un-instrumented path to time:
+//! the "baseline" and "disabled" legs of the chase and CQ points run
+//! the same code with a disabled handle, and their no-op column bounds
+//! measurement noise only. The `hist_trace` point still prices
+//! the server-style wrapper (trace scope plus histogram observation)
+//! against the bare call.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
+use mm_bench::{chase_at, homs_at};
 use mm_engine::prelude::*;
 use mm_workload::{copy_tgds, faults, tgds::binary_schema};
 use std::io::Write as _;
@@ -46,22 +55,19 @@ fn bench_chase_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_chase_exchange");
     group.sample_size(10);
     let budget = ExecBudget::unbounded();
+    let base = Telemetry::disabled();
     for rows in CHASE_SIZES {
         let (tgt, program, db) = exchange_setup(rows);
         group.bench_with_input(BenchmarkId::new("baseline", rows), &(), |b, _| {
-            b.iter(|| chase_st_prepared(&tgt, &program, &db, &budget).expect("unbounded"))
+            b.iter(|| chase_at(&tgt, &program, &db, &budget, 1, &base).expect("unbounded"))
         });
         let off = Telemetry::disabled();
         group.bench_with_input(BenchmarkId::new("disabled", rows), &(), |b, _| {
-            b.iter(|| {
-                chase_st_prepared_traced(&tgt, &program, &db, &budget, &off).expect("unbounded")
-            })
+            b.iter(|| chase_at(&tgt, &program, &db, &budget, 1, &off).expect("unbounded"))
         });
         let on = enabled_handle();
         group.bench_with_input(BenchmarkId::new("enabled", rows), &(), |b, _| {
-            b.iter(|| {
-                chase_st_prepared_traced(&tgt, &program, &db, &budget, &on).expect("unbounded")
-            })
+            b.iter(|| chase_at(&tgt, &program, &db, &budget, 1, &on).expect("unbounded"))
         });
     }
     group.finish();
@@ -75,18 +81,13 @@ fn bench_cq_overhead(c: &mut Criterion) {
         let (_, _, db, tgds) = faults::quadratic_join(rows);
         let body = tgds[0].body.clone();
         let seed = std::collections::HashMap::new();
+        let base = Telemetry::disabled();
         group.bench_with_input(BenchmarkId::new("baseline", rows), &(), |b, _| {
-            b.iter(|| {
-                find_homomorphisms_governed(&body, &db, &seed, &mut Governor::new(&budget))
-                    .expect("unbounded")
-            })
+            b.iter(|| homs_at(&body, &db, &seed, &budget, 1, &base).expect("unbounded"))
         });
         let off = Telemetry::disabled();
         group.bench_with_input(BenchmarkId::new("disabled", rows), &(), |b, _| {
-            b.iter(|| {
-                find_homomorphisms_traced(&body, &db, &seed, &mut Governor::new(&budget), &off)
-                    .expect("unbounded")
-            })
+            b.iter(|| homs_at(&body, &db, &seed, &budget, 1, &off).expect("unbounded"))
         });
     }
     group.finish();
@@ -164,13 +165,12 @@ fn emit_baseline() {
     for rows in CHASE_SIZES {
         let (tgt, program, db) = exchange_setup(rows);
         let reps = 40;
-        let off = Telemetry::disabled();
-        let on = enabled_handle();
+        let (base, off, on) = (Telemetry::disabled(), Telemetry::disabled(), enabled_handle());
         let (base_t, noop_t, full_t) = interleaved(
             reps,
-            || chase_st_prepared(&tgt, &program, &db, &budget).expect("ok"),
-            || chase_st_prepared_traced(&tgt, &program, &db, &budget, &off).expect("ok"),
-            || chase_st_prepared_traced(&tgt, &program, &db, &budget, &on).expect("ok"),
+            || chase_at(&tgt, &program, &db, &budget, 1, &base).expect("ok"),
+            || chase_at(&tgt, &program, &db, &budget, 1, &off).expect("ok"),
+            || chase_at(&tgt, &program, &db, &budget, 1, &on).expect("ok"),
         );
         points.push(point_json("chase_exchange_4rel", rows, base_t, noop_t, full_t));
     }
@@ -184,20 +184,18 @@ fn emit_baseline() {
     {
         let rows = 1_000;
         let (tgt, program, db) = exchange_setup(rows);
-        let off = Telemetry::disabled();
-        let on = enabled_handle();
+        let (base, off, on) = (Telemetry::disabled(), Telemetry::disabled(), enabled_handle());
         let wrapped = |tel: &Telemetry| {
             let mut scope = tel.trace_scope(0x517E_D00D, true);
-            let (out, d) = mm_bench::timed(|| {
-                chase_st_prepared_traced(&tgt, &program, &db, &budget, tel).expect("ok")
-            });
+            let (out, d) =
+                mm_bench::timed(|| chase_at(&tgt, &program, &db, &budget, 1, tel).expect("ok"));
             tel.observe_hist(Hist::ServerServiceUs, d.as_micros().min(u128::from(u64::MAX)) as u64);
             let _ = scope.take_captured();
             out
         };
         let (base_t, noop_t, full_t) = interleaved(
             40,
-            || chase_st_prepared(&tgt, &program, &db, &budget).expect("ok"),
+            || chase_at(&tgt, &program, &db, &budget, 1, &base).expect("ok"),
             || wrapped(&off),
             || wrapped(&on),
         );
@@ -209,22 +207,12 @@ fn emit_baseline() {
         let body = tgds[0].body.clone();
         let seed = std::collections::HashMap::new();
         let reps = 40;
-        let off = Telemetry::disabled();
-        let on = enabled_handle();
+        let (base, off, on) = (Telemetry::disabled(), Telemetry::disabled(), enabled_handle());
         let (base_t, noop_t, full_t) = interleaved(
             reps,
-            || {
-                find_homomorphisms_governed(&body, &db, &seed, &mut Governor::new(&budget))
-                    .expect("ok")
-            },
-            || {
-                find_homomorphisms_traced(&body, &db, &seed, &mut Governor::new(&budget), &off)
-                    .expect("ok")
-            },
-            || {
-                find_homomorphisms_traced(&body, &db, &seed, &mut Governor::new(&budget), &on)
-                    .expect("ok")
-            },
+            || homs_at(&body, &db, &seed, &budget, 1, &base).expect("ok"),
+            || homs_at(&body, &db, &seed, &budget, 1, &off).expect("ok"),
+            || homs_at(&body, &db, &seed, &budget, 1, &on).expect("ok"),
         );
         points.push(point_json("cq_self_join", rows, base_t, noop_t, full_t));
     }
@@ -233,7 +221,7 @@ fn emit_baseline() {
 
     let host_cpus = mm_parallel::available_parallelism();
     let body = format!(
-        "{{\n  \"experiment\": \"telemetry_overhead\",\n  \"description\": \"instrumented hot paths: un-instrumented baseline vs disabled Telemetry handle (no-op, target <=3%) vs enabled ring collector + metrics; the hist_trace point additionally wraps each call in a capturing trace scope plus a service-time histogram observation, the per-request shape mm-server uses; bit-identical results asserted per point (attested = those assertions passed on the emitting host); alloc holds the compact-data-plane gauges (PR 10) sampled off a text-heavy Engine exchange — process-wide monotone counts of tuple spills (arity > 4) and intern-pool entries, zero-elided on fresh registries\",\n  \"command\": \"cargo bench -p mm-bench --bench telemetry\",\n  \"host_cpus\": {host_cpus},\n  \"attested\": true,\n  \"alloc\": {{\"alloc.tuples\": {alloc_tuples}, \"alloc.interned\": {alloc_interned}}},\n  \"points\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"telemetry_overhead\",\n  \"description\": \"instrumented hot paths: baseline vs disabled Telemetry handle (no-op, target <=3%; both legs run the one entry point with a disabled handle, so the no-op column bounds noise) vs enabled ring collector + metrics; the hist_trace point additionally wraps each call in a capturing trace scope plus a service-time histogram observation, the per-request shape mm-server uses; bit-identical results asserted per point (attested = those assertions passed on the emitting host); alloc holds the compact-data-plane gauges sampled off a text-heavy Engine exchange — process-wide monotone counts of tuple spills (arity > 4) and intern-pool entries, zero-elided on fresh registries\",\n  \"command\": \"cargo bench -p mm-bench --bench telemetry\",\n  \"host_cpus\": {host_cpus},\n  \"attested\": true,\n  \"alloc\": {{\"alloc.tuples\": {alloc_tuples}, \"alloc.interned\": {alloc_interned}}},\n  \"points\": [\n{}\n  ]\n}}\n",
         points.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");

@@ -14,6 +14,102 @@ use mm_engine::prelude::*;
 use mm_workload as wl;
 use std::time::{Duration, Instant};
 
+/// A variable binding of the CQ search (`mm_eval::Binding`).
+pub type Binding = std::collections::HashMap<String, Value>;
+
+/// Compile `tgds` (greedy) and chase `db` into `target` under `budget`,
+/// sequential and untraced.
+pub fn chase_budgeted(
+    target: &Schema,
+    tgds: &[Tgd],
+    db: &Database,
+    budget: &ExecBudget,
+) -> Result<(Database, ChaseStats), ChaseFailure> {
+    let program = ChaseProgram::compile(tgds, db);
+    chase_at(target, &program, db, budget, 1, &Telemetry::disabled())
+}
+
+/// [`chase_budgeted`] unbounded — the plain s-t exchange the
+/// experiments time.
+pub fn chase_plain(target: &Schema, tgds: &[Tgd], db: &Database) -> (Database, ChaseStats) {
+    chase_budgeted(target, tgds, db, &ExecBudget::unbounded()).expect("unbounded")
+}
+
+/// The s-t chase of a compiled program under a fresh governor over
+/// `budget`, at `threads` workers, traced through `tel`.
+pub fn chase_at(
+    target: &Schema,
+    program: &ChaseProgram,
+    db: &Database,
+    budget: &ExecBudget,
+    threads: usize,
+    tel: &Telemetry,
+) -> Result<(Database, ChaseStats), ChaseFailure> {
+    let mut gov = Governor::new(budget);
+    chase_st(target, program, db, Run { threads, tel, ..Run::new(&mut gov) })
+}
+
+/// The planned CQ search under a fresh governor over `budget`, at
+/// `threads` workers, traced through `tel`.
+pub fn homs_at(
+    atoms: &[Atom],
+    db: &Database,
+    seed: &Binding,
+    budget: &ExecBudget,
+    threads: usize,
+    tel: &Telemetry,
+) -> Result<Vec<Binding>, ExecError> {
+    find_homomorphisms(atoms, db, seed, &mut Governor::new(budget), threads, tel)
+}
+
+/// The CQ search through the cost-based planner
+/// ([`CqPlan::compile_costed`]) under a fresh governor over `budget`:
+/// the statistics-ordered walk, its matches sorted back into the
+/// canonical order. Enumerates exactly what [`homs_at`] does; the eval
+/// bench times the two walks against each other.
+pub fn homs_costed(
+    atoms: &[Atom],
+    db: &Database,
+    seed: &Binding,
+    budget: &ExecBudget,
+) -> Result<Vec<Binding>, ExecError> {
+    let mut table = VarTable::new();
+    let seeded: Vec<(usize, Value)> =
+        seed.iter().map(|(k, v)| (table.intern(k), v.clone())).collect();
+    let prebound: Vec<usize> = seeded.iter().map(|(s, _)| *s).collect();
+    let plan = CqPlan::compile_costed(atoms, &mut table, db, &prebound);
+    let mut scratch = vec![None; table.len()];
+    for (s, v) in seeded {
+        scratch[s] = Some(v);
+    }
+    let mut matches = Vec::new();
+    let opts = ExecOptions::default();
+    plan.execute_governed(db, &mut scratch, &opts, &mut Governor::new(budget), &mut matches)?;
+    if plan.is_reordered() {
+        matches.sort_by(|a, b| a.positions.cmp(&b.positions));
+    }
+    let name = |s: usize| table.name(s).map(str::to_string);
+    let binding =
+        |m: PlanMatch| m.binding.into_iter().enumerate().filter_map(|(s, v)| Some((name(s)?, v?)));
+    Ok(matches.into_iter().map(|m| binding(m).collect()).collect())
+}
+
+/// [`homs_at`] unbounded, unseeded, sequential and untraced.
+pub fn homs_plain(atoms: &[Atom], db: &Database) -> Vec<Binding> {
+    let (budget, tel) = (ExecBudget::unbounded(), Telemetry::disabled());
+    homs_at(atoms, db, &Binding::new(), &budget, 1, &tel).expect("unbounded")
+}
+
+/// [`compose_st_tgds`] under an unbounded budget, untraced.
+pub fn compose_plain(
+    m12: &[Tgd],
+    m23: &[Tgd],
+    clause_bound: usize,
+) -> Result<SoTgd, ComposeError> {
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    compose_st_tgds(m12, m23, clause_bound, &mut gov, &Telemetry::disabled())
+}
+
 /// Time a closure, returning (result, wall time).
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
@@ -42,7 +138,7 @@ pub struct Eq1Row {
 pub fn eq1_compose_point(producers: usize, body_atoms: usize) -> Eq1Row {
     let (_, _, _, m12, m23) = wl::composition_chain(producers, body_atoms);
     let (so, took) = timed(|| {
-        compose_st_tgds(&m12, &m23, 1 << 22).expect("within bound")
+        compose_plain(&m12, &m23, 1 << 22).expect("within bound")
     });
     let deskolemizable = try_deskolemize(&so).is_some();
     Eq1Row {
@@ -381,7 +477,7 @@ pub fn eq7_exchange_point(relations: usize, rows_per: usize) -> Eq7Row {
             );
         }
     }
-    let ((chased, _), chase_t) = timed(|| chase_st(&tgt, &tgds, &db));
+    let ((chased, _), chase_t) = timed(|| chase_plain(&tgt, &tgds, &db));
     // compiled alternative: copy views Bi = Ai (rename-free scan)
     let mut views = ViewSet::new("Src", "Tgt");
     for i in 0..relations {

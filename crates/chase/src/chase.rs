@@ -14,7 +14,7 @@ use crate::explain::{ChaseExplain, RoundExplain};
 use crate::plan::{ChaseProgram, TgdPlan};
 use mm_eval::plan::{CqPlan, ExecOptions, VarTable};
 use mm_expr::{Atom, Tgd};
-use mm_guard::{Consumption, ExecBudget, ExecError, Governor};
+use mm_guard::{ExecBudget, ExecError, Governor};
 use mm_instance::{Database, Tuple, Value};
 use mm_metamodel::Schema;
 use mm_telemetry::{Counter, Hist, Span, Telemetry, Timer};
@@ -80,15 +80,24 @@ pub struct ChaseStats {
     pub nulls: usize,
 }
 
-/// Outcome of a chase run.
+/// Outcome of a general chase that ran to its end. Running out of
+/// rounds or any other budget is not an outcome but a [`ChaseFailure`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChaseOutcome {
     /// Fixpoint reached: the database satisfies all dependencies.
     Done(ChaseStats),
-    /// Step bound exhausted before a fixpoint (possible for general tgds).
-    BoundExceeded(ChaseStats),
-    /// An egd tried to equate two distinct constants — no solution exists.
-    Failed { egd_index: usize },
+    /// An egd tried to equate two distinct constants — no solution
+    /// exists. `stats` is the work done up to and including that round.
+    Failed { egd_index: usize, stats: ChaseStats },
+}
+
+impl ChaseOutcome {
+    /// The work the run did, whichever way it ended.
+    pub fn stats(&self) -> ChaseStats {
+        match self {
+            ChaseOutcome::Done(stats) | ChaseOutcome::Failed { stats, .. } => *stats,
+        }
+    }
 }
 
 impl fmt::Display for ChaseOutcome {
@@ -97,18 +106,15 @@ impl fmt::Display for ChaseOutcome {
             ChaseOutcome::Done(s) => {
                 write!(f, "done: {} firings, {} rounds, {} nulls", s.fired, s.rounds, s.nulls)
             }
-            ChaseOutcome::BoundExceeded(s) => {
-                write!(f, "bound exceeded after {} firings", s.fired)
-            }
-            ChaseOutcome::Failed { egd_index } => write!(f, "failed at egd #{egd_index}"),
+            ChaseOutcome::Failed { egd_index, .. } => write!(f, "failed at egd #{egd_index}"),
         }
     }
 }
 
 /// A governed chase that could not finish: the typed resource error plus
 /// the statistics of the partial run (work done before the trip). For
-/// `chase_general_governed` the partially chased database is left in
-/// place, so callers can inspect or discard the partial instance.
+/// [`chase_general`] the partially chased database is left in place, so
+/// callers can inspect or discard the partial instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaseFailure {
     pub error: ExecError,
@@ -133,110 +139,87 @@ impl From<ChaseFailure> for ExecError {
     }
 }
 
+/// How one chase runs. None of these choices changes the result: the
+/// universal instance, its labeled-null ids and the [`ChaseStats`] are
+/// bit-identical for every combination (the reference oracles are the
+/// spec). Whether join orders are greedy or cost-based is not a choice
+/// here — it was made when the [`ChaseProgram`] was compiled.
+pub struct Run<'a> {
+    /// The meter every join probe, head check and insert is charged to.
+    /// A budget becomes `Governor::new(&budget)` at the caller; a batch
+    /// hands each request a governor forked off one shared meter.
+    pub gov: &'a mut Governor,
+    /// Workers for each round's body matching. `1` is sequential; more
+    /// workers probe read-only index snapshots and merge their matches
+    /// back in the sequential enumeration order, while firing (where
+    /// nulls are minted) and the egd pass stay sequential.
+    pub threads: usize,
+    /// Spans, counters and timers (`chase.st` / `chase.general`).
+    /// [`Telemetry::disabled`] costs one branch.
+    pub tel: &'a Telemetry,
+    /// When set, receives the run's [`ChaseExplain`] on success: per-tgd
+    /// join orders explained against the pre-chase database, per-round
+    /// deltas, the thread count asked for and the re-plans performed.
+    pub explain: Option<&'a mut ChaseExplain>,
+    /// Adaptive re-optimization: at every round boundary (a governor
+    /// safepoint; the source-to-target chase has one, before its single
+    /// pass) each cost-compiled tgd plan whose body cardinalities have
+    /// drifted past this ratio from the live ones is re-planned against
+    /// current statistics. Re-planning keeps the plan's frozen canonical
+    /// enumeration order, so only the work changes. Greedy plans never
+    /// re-plan. `None` never re-plans.
+    pub replan: Option<f64>,
+}
+
+impl<'a> Run<'a> {
+    /// Sequential, untraced, unexplained, never re-planning.
+    pub fn new(gov: &'a mut Governor) -> Run<'a> {
+        static DISABLED: Telemetry = Telemetry::disabled();
+        Run { gov, threads: 1, tel: &DISABLED, explain: None, replan: None }
+    }
+}
+
+/// What one chase pass produced besides its instance.
+struct Pass {
+    stats: ChaseStats,
+    par: mm_parallel::PoolRun,
+    replans: u32,
+}
+
 /// The standard chase for **source-to-target** tgds: bodies are evaluated
 /// over `source_db`, heads asserted into a fresh target database. Because
 /// target relations never feed tgd bodies, one pass over the tgds reaches
 /// the fixpoint; the restricted chase still checks head satisfaction so
 /// re-chasing an already-consistent pair adds nothing.
 ///
-/// Returns the universal target instance and stats.
-///
-/// Legacy ungoverned entry point; panics on function terms in tgd heads
-/// (use [`chase_st_governed`] for the typed-error path).
+/// Returns the universal target instance and stats; on a budget trip the
+/// typed error plus partial-run statistics come back as a
+/// [`ChaseFailure`].
 pub fn chase_st(
     target_schema: &Schema,
-    tgds: &[Tgd],
-    source_db: &Database,
-) -> (Database, ChaseStats) {
-    #[allow(clippy::expect_used)] // unbounded budget: only Unsupported inputs can fail
-    chase_st_governed(target_schema, tgds, source_db, &ExecBudget::unbounded())
-        .expect("chase_st on unsupported input; use chase_st_governed for a typed error")
-}
-
-/// Governed source-to-target chase: join probes, head-satisfaction
-/// checks, and inserted tuples are metered against `budget`; on a trip
-/// the typed error plus partial-run statistics come back as a
-/// [`ChaseFailure`].
-pub fn chase_st_governed(
-    target_schema: &Schema,
-    tgds: &[Tgd],
-    source_db: &Database,
-    budget: &ExecBudget,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    let program = ChaseProgram::compile(tgds, source_db);
-    chase_st_prepared(target_schema, &program, source_db, budget)
-}
-
-/// Source-to-target chase over a pre-compiled [`ChaseProgram`] — the
-/// entry point the engine plan cache uses to amortize tgd compilation
-/// across repeated exchanges of the same mapping.
-pub fn chase_st_prepared(
-    target_schema: &Schema,
     program: &ChaseProgram,
     source_db: &Database,
-    budget: &ExecBudget,
+    mut run: Run<'_>,
 ) -> Result<(Database, ChaseStats), ChaseFailure> {
-    chase_st_prepared_traced(target_schema, program, source_db, budget, &Telemetry::disabled())
+    let tgds = run.explain.is_some().then(|| program.explain(source_db));
+    let mut rounds = Vec::new();
+    let traced = Traced::open(&run, "chase.st", source_db.name.as_str());
+    let trace = tgds.is_some().then_some(&mut rounds);
+    let result = chase_st_impl(target_schema, program, source_db, &mut run, false, trace);
+    if let Some(t) = traced {
+        let new_tuples = result.as_ref().map_or(0, |(db, _)| db.total_tuples());
+        t.close(&run, program.len(), None, result.as_ref().map(|(_, p)| p), new_tuples);
+    }
+    let (db, pass) = result?;
+    if let (Some(sink), Some(tgds)) = (run.explain, tgds) {
+        let (stats, threads, replans) = (pass.stats, run.threads.max(1), pass.replans);
+        *sink = ChaseExplain { mode: "st", stats, tgds, rounds, threads, replans };
+    }
+    Ok((db, pass.stats))
 }
 
-/// [`chase_st_prepared`] with telemetry: wraps the run in a `chase.st`
-/// span (with final [`Consumption`] fields on success), feeds the chase
-/// counters and timer. With disabled telemetry this is the plain call.
-pub fn chase_st_prepared_traced(
-    target_schema: &Schema,
-    program: &ChaseProgram,
-    source_db: &Database,
-    budget: &ExecBudget,
-    tel: &Telemetry,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    let mut gov = Governor::new(budget);
-    run_st(target_schema, program, source_db, &mut gov, true, 1, tel, None)
-}
-
-/// [`chase_st_prepared`] with the body-matching phase of every tgd
-/// fanned across up to `threads` workers. **Bit-identical** to the
-/// sequential path — same tuples, same labeled-null ids, same
-/// [`ChaseStats`]: workers probe copy-on-write index snapshots
-/// read-only, their per-chunk match lists merge back in the sequential
-/// enumeration order, and head-satisfaction checks plus firing (where
-/// nulls are minted) stay sequential in that order. `threads <= 1` is
-/// exactly [`chase_st_prepared`].
-pub fn chase_st_parallel(
-    target_schema: &Schema,
-    program: &ChaseProgram,
-    source_db: &Database,
-    budget: &ExecBudget,
-    threads: usize,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    chase_st_parallel_traced(
-        target_schema,
-        program,
-        source_db,
-        budget,
-        threads,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`chase_st_parallel`] with telemetry: the `chase.st` span
-/// additionally carries `parallel.workers` / `parallel.steals` /
-/// `parallel.tasks` fields and feeds the parallel counters.
-pub fn chase_st_parallel_traced(
-    target_schema: &Schema,
-    program: &ChaseProgram,
-    source_db: &Database,
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    let mut gov = Governor::new(budget);
-    run_st(target_schema, program, source_db, &mut gov, true, threads, tel, None)
-}
-
-/// Source-to-target chase metering against a caller-supplied
-/// [`Governor`] — the batch-serving entry point: `Engine::exchange_batch`
-/// forks one shared-meter governor per request so a budget spans the
-/// whole batch and cancellation reaches every worker.
+/// [`chase_st`] under `gov` at `threads`, traced through `tel`.
+#[doc(hidden)]
 pub fn chase_st_prepared_governed(
     target_schema: &Schema,
     program: &ChaseProgram,
@@ -245,45 +228,13 @@ pub fn chase_st_prepared_governed(
     threads: usize,
     tel: &Telemetry,
 ) -> Result<(Database, ChaseStats), ChaseFailure> {
-    run_st(target_schema, program, source_db, gov, true, threads, tel, None)
-}
-
-/// [`chase_st_prepared`] plus a full [`ChaseExplain`] report: per-tgd
-/// join orders (explained against `source_db` cardinalities), the
-/// single round's deltas, and the degree of parallelism the chase was
-/// asked to run with. Telemetry is optional and orthogonal.
-pub fn chase_st_explained(
-    target_schema: &Schema,
-    program: &ChaseProgram,
-    source_db: &Database,
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-) -> Result<(Database, ChaseStats, ChaseExplain), ChaseFailure> {
-    let tgds = program.explain(source_db);
-    let mut rounds = Vec::new();
-    let mut gov = Governor::new(budget);
-    let (db, stats) = run_st(
-        target_schema,
-        program,
-        source_db,
-        &mut gov,
-        true,
-        threads,
-        tel,
-        Some(&mut rounds),
-    )?;
-    Ok((
-        db,
-        stats,
-        ChaseExplain { mode: "st", stats, tgds, rounds, threads: threads.max(1), replans: 0 },
-    ))
+    chase_st(target_schema, program, source_db, Run { threads, tel, ..Run::new(gov) })
 }
 
 /// Reference (naive) source-to-target chase: identical structure but
 /// every join and satisfaction check runs as a full scan, never an index
-/// probe. Bit-identical to [`chase_st_governed`] by construction — kept
-/// public as the differential-testing oracle and benchmark baseline.
+/// probe. Bit-identical to [`chase_st`] by construction — kept public as
+/// the differential-testing oracle and benchmark baseline.
 pub fn chase_st_reference(
     target_schema: &Schema,
     tgds: &[Tgd],
@@ -292,131 +243,153 @@ pub fn chase_st_reference(
 ) -> Result<(Database, ChaseStats), ChaseFailure> {
     let program = ChaseProgram::compile(tgds, source_db);
     let mut gov = Governor::new(budget);
-    chase_st_impl(target_schema, &program, source_db, &mut gov, false, 1, None)
-        .map(|(db, stats, _)| (db, stats))
+    chase_st_impl(target_schema, &program, source_db, &mut Run::new(&mut gov), true, None)
+        .map(|(db, pass)| (db, pass.stats))
 }
 
-/// Telemetry shell around [`chase_st_impl`]: one branch when disabled.
-#[allow(clippy::too_many_arguments)] // internal: the public wrappers curry
-fn run_st(
-    target_schema: &Schema,
+/// Telemetry around one chase run, opened before it and closed after:
+/// the `chase.st` / `chase.general` span (with final [`mm_guard::Consumption`]
+/// fields on success), the chase counters and the chase timer.
+struct Traced {
+    span: Span,
+    started: std::time::Instant,
+    steps_before: u64,
+    rows_before: u64,
+}
+
+impl Traced {
+    /// `None` when telemetry is disabled: the untraced path pays one
+    /// branch.
+    fn open(run: &Run<'_>, op: &'static str, artifact: &str) -> Option<Traced> {
+        run.tel.is_enabled().then(|| Traced {
+            started: mm_telemetry::clock::now(),
+            steps_before: run.gov.steps_consumed(),
+            rows_before: run.gov.rows_consumed(),
+            span: Span::enter(run.tel, op, artifact),
+        })
+    }
+
+    fn close(
+        mut self,
+        run: &Run<'_>,
+        tgds: usize,
+        egds: Option<usize>,
+        result: Result<&Pass, &ChaseFailure>,
+        new_tuples: usize,
+    ) {
+        let (tel, span) = (run.tel, &mut self.span);
+        let stats = match result {
+            Ok(p) => p.stats,
+            Err(f) => f.stats,
+        };
+        if let Some(m) = tel.metrics() {
+            m.add(Counter::ChaseRounds, stats.rounds as u64);
+            m.add(Counter::ChaseFirings, stats.fired as u64);
+            m.add(Counter::ChaseNullsMinted, stats.nulls as u64);
+            m.add(Counter::ChaseDeltaTuples, new_tuples as u64);
+            m.observe_us(Timer::Chase, mm_telemetry::clock::elapsed_us(self.started));
+        }
+        span.field("tgds", tgds);
+        if let Some(egds) = egds {
+            span.field("egds", egds);
+        }
+        span.field("rounds", stats.rounds);
+        span.field("fired", stats.fired);
+        span.field("nulls", stats.nulls);
+        match result {
+            Ok(pass) => {
+                if run.threads > 1 {
+                    // only when parallelism was requested, so sequential
+                    // spans keep their field set byte-for-byte
+                    let par = &pass.par;
+                    span.field("parallel.workers", par.workers);
+                    span.field("parallel.steals", par.steals);
+                    span.field("parallel.tasks", par.tasks);
+                    if let Some(m) = tel.metrics() {
+                        m.add(Counter::ParallelWorkers, par.workers as u64);
+                        m.add(Counter::ParallelSteals, par.steals);
+                        m.add(Counter::ParallelTasks, par.tasks);
+                    }
+                }
+                if pass.replans > 0 {
+                    // only when adaptive re-optimization fired, so
+                    // non-adaptive spans keep their field set
+                    span.field("replans", pass.replans);
+                    tel.count(Counter::PlanMisestimates, pass.replans as u64);
+                    tel.count(Counter::PlanReplans, pass.replans as u64);
+                }
+                let steps = run.gov.steps_consumed() - self.steps_before;
+                let rows = run.gov.rows_consumed() - self.rows_before;
+                tel.count(Counter::BudgetStepsConsumed, steps);
+                tel.count(Counter::BudgetRowsConsumed, rows);
+                span.field("steps", steps);
+                span.field("rows", rows);
+                span.field("wall_us", mm_telemetry::clock::elapsed_us(self.started));
+            }
+            Err(f) => span.field("error", f.error.to_string()),
+        }
+        self.span.finish();
+    }
+}
+
+/// Round-boundary re-optimization (see [`Run::replan`]): re-cost every
+/// costed plan — the program's, or its current override — whose body
+/// cardinalities have drifted from `db`'s past `ratio`. A re-costed plan
+/// shadows the compiled one for the rest of the run; `overrides` stays
+/// empty when the run never re-plans. Returns how many plans were
+/// re-planned.
+fn replan(
     program: &ChaseProgram,
-    source_db: &Database,
-    gov: &mut Governor,
-    use_indexes: bool,
-    threads: usize,
-    tel: &Telemetry,
-    trace: Option<&mut Vec<RoundExplain>>,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    if !tel.is_enabled() {
-        return chase_st_impl(target_schema, program, source_db, gov, use_indexes, threads, trace)
-            .map(|(db, stats, _)| (db, stats));
-    }
-    let started = mm_telemetry::clock::now();
-    let steps_before = gov.steps_consumed();
-    let rows_before = gov.rows_consumed();
-    let mut span = Span::enter(tel, "chase.st", source_db.name.as_str());
-    let result =
-        chase_st_impl(target_schema, program, source_db, gov, use_indexes, threads, trace);
-    let stats = match &result {
-        Ok((_, s, _)) => *s,
-        Err(f) => f.stats,
-    };
-    if let Some(m) = tel.metrics() {
-        m.add(Counter::ChaseRounds, stats.rounds as u64);
-        m.add(Counter::ChaseFirings, stats.fired as u64);
-        m.add(Counter::ChaseNullsMinted, stats.nulls as u64);
-        if let Ok((db, _, _)) = &result {
-            m.add(Counter::ChaseDeltaTuples, db.total_tuples() as u64);
+    overrides: &mut Vec<Option<TgdPlan>>,
+    db: &Database,
+    ratio: Option<f64>,
+) -> u32 {
+    let Some(ratio) = ratio else { return 0 };
+    overrides.resize(program.len(), None);
+    let mut replans = 0;
+    for (slot, compiled) in overrides.iter_mut().zip(program.plans()) {
+        let current = slot.as_ref().unwrap_or(compiled);
+        if current.is_costed() && current.misestimated(db, ratio) {
+            if let Some(fresh) = current.recost(db) {
+                *slot = Some(fresh);
+                replans += 1;
+            }
         }
-        let elapsed = mm_telemetry::clock::elapsed_us(started);
-        m.observe_us(Timer::Chase, elapsed);
-        // the st chase is its single pass, so the run is the round
-        m.observe_hist(Hist::ChaseRoundUs, elapsed);
     }
-    span.field("tgds", program.len());
-    span.field("rounds", stats.rounds);
-    span.field("fired", stats.fired);
-    span.field("nulls", stats.nulls);
-    if let Ok((_, _, par)) = &result {
-        record_parallel(tel, &mut span, threads, par);
-    }
-    match &result {
-        Ok(_) => {
-            let steps = gov.steps_consumed() - steps_before;
-            let rows = gov.rows_consumed() - rows_before;
-            tel.count(Counter::BudgetStepsConsumed, steps);
-            tel.count(Counter::BudgetRowsConsumed, rows);
-            span.field("steps", steps);
-            span.field("rows", rows);
-            span.field("wall_us", mm_telemetry::clock::elapsed_us(started));
-        }
-        Err(f) => span.field("error", f.error.to_string()),
-    }
-    span.finish();
-    result.map(|(db, stats, _)| (db, stats))
+    replans
 }
 
-/// Feed a finished parallel region's pool statistics into the span and
-/// the engine counters. Only emitted when parallelism was requested, so
-/// sequential spans keep their pre-PR-5 field set byte-for-byte.
-fn record_parallel(
-    tel: &Telemetry,
-    span: &mut Span,
-    threads: usize,
-    par: &mm_parallel::PoolRun,
-) {
-    if threads <= 1 {
-        return;
-    }
-    span.field("parallel.workers", par.workers);
-    span.field("parallel.steals", par.steals);
-    span.field("parallel.tasks", par.tasks);
-    if let Some(m) = tel.metrics() {
-        m.add(Counter::ParallelWorkers, par.workers as u64);
-        m.add(Counter::ParallelSteals, par.steals);
-        m.add(Counter::ParallelTasks, par.tasks);
-    }
-}
-
+/// The source-to-target pass. `naive` runs every join and satisfaction
+/// check as a scan (the reference oracle).
 fn chase_st_impl(
     target_schema: &Schema,
     program: &ChaseProgram,
     source_db: &Database,
-    gov: &mut Governor,
-    use_indexes: bool,
-    threads: usize,
+    run: &mut Run<'_>,
+    naive: bool,
     trace: Option<&mut Vec<RoundExplain>>,
-) -> Result<(Database, ChaseStats, mm_parallel::PoolRun), ChaseFailure> {
+) -> Result<(Database, Pass), ChaseFailure> {
+    let started = run.tel.is_enabled().then(mm_telemetry::clock::now);
     let mut target = Database::empty_of(target_schema);
     target.set_label_watermark(source_db.label_watermark());
     let mut stats = ChaseStats { rounds: 1, ..Default::default() };
     let mut par = mm_parallel::PoolRun::default();
-    for plan in program.plans() {
-        let mut run = |stats: &mut ChaseStats,
-                       par: &mut mm_parallel::PoolRun|
-         -> Result<(), ExecError> {
+    let mut overrides = Vec::new();
+    let replans = replan(program, &mut overrides, source_db, run.replan);
+    for (ti, compiled) in program.plans().iter().enumerate() {
+        let plan = overrides.get(ti).and_then(Option::as_ref).unwrap_or(compiled);
+        let mut fire = |stats: &mut ChaseStats| -> Result<(), ExecError> {
             let mut matches = Vec::new();
-            if threads > 1 {
-                par.absorb(plan.body_matches_parallel(
-                    source_db,
-                    use_indexes,
-                    threads,
-                    gov,
-                    &mut matches,
-                )?);
-            } else {
-                plan.body_matches(source_db, use_indexes, gov, &mut matches)?;
-            }
+            par.absorb(plan.body_matches(source_db, !naive, run.threads, run.gov, &mut matches)?);
             for m in matches {
-                if plan.head_satisfied(&m.binding, &target, use_indexes, gov)? {
+                if plan.head_satisfied(&m.binding, &target, !naive, run.gov)? {
                     continue;
                 }
-                plan.fire(&m.binding, &mut target, stats, gov)?;
+                plan.fire(&m.binding, &mut target, stats, run.gov)?;
             }
             Ok(())
         };
-        run(&mut stats, &mut par).map_err(|error| ChaseFailure { error, stats })?;
+        fire(&mut stats).map_err(|error| ChaseFailure { error, stats })?;
     }
     if let Some(t) = trace {
         t.push(RoundExplain {
@@ -426,39 +399,22 @@ fn chase_st_impl(
             new_tuples: target.total_tuples(),
         });
     }
-    Ok((target, stats, par))
-}
-
-/// The bounded restricted chase for **general** tgds and egds over a
-/// single database (source and target relations may coincide — schema
-/// evolution scenarios chase views and bases together). `max_rounds`
-/// bounds the fixpoint loop since general tgds need not terminate; an
-/// exhausted bound comes back as [`ChaseOutcome::BoundExceeded`].
-///
-/// Legacy ungoverned entry point over [`chase_general_governed`].
-pub fn chase_general(
-    db: &mut Database,
-    tgds: &[Tgd],
-    egds: &[Egd],
-    max_rounds: usize,
-) -> ChaseOutcome {
-    let budget = ExecBudget::unbounded().with_rounds(max_rounds as u64);
-    match chase_general_governed(db, tgds, egds, &budget) {
-        Ok(outcome) => outcome,
-        Err(ChaseFailure { error: ExecError::Diverged { .. }, stats }) => {
-            ChaseOutcome::BoundExceeded(stats)
-        }
-        #[allow(clippy::panic)] // unbounded except rounds: no other trip is reachable
-        Err(f) => panic!("chase_general on unsupported input: {f}"),
+    if let (Some(started), Some(m)) = (started, run.tel.metrics()) {
+        // the st chase is its single pass, so the run is the round
+        m.observe_hist(Hist::ChaseRoundUs, mm_telemetry::clock::elapsed_us(started));
     }
+    Ok((target, Pass { stats, par, replans }))
 }
 
-/// Governed general chase. The fixpoint loop runs until convergence or
-/// until the budget trips:
+/// The restricted chase for **general** tgds and egds over a single
+/// database, in place (source and target relations may coincide —
+/// schema evolution scenarios chase views and bases together). Rounds
+/// are semi-naive and indexed. The fixpoint loop runs until convergence
+/// or until the governor trips:
 ///
 /// * exceeding the budget's **round** cap without converging reports
 ///   [`ExecError::Diverged`] — the tgd set is divergent, or the cap is
-///   too small; no more silent truncation,
+///   too small; general tgds need not terminate, so callers set one,
 /// * step / row / wall-clock caps and cancellation report their own
 ///   [`ExecError`] variants,
 /// * an egd equating two distinct constants is a semantic answer, not a
@@ -467,151 +423,34 @@ pub fn chase_general(
 /// On error the partially chased `db` is left in place (callers decide
 /// whether a partial universal instance is useful) together with the
 /// partial-run statistics in the [`ChaseFailure`].
-pub fn chase_general_governed(
+pub fn chase_general(
     db: &mut Database,
-    tgds: &[Tgd],
+    program: &ChaseProgram,
     egds: &[Egd],
-    budget: &ExecBudget,
+    mut run: Run<'_>,
 ) -> Result<ChaseOutcome, ChaseFailure> {
-    let program = ChaseProgram::compile(tgds, db);
-    chase_general_prepared(db, &program, egds, budget)
-}
-
-/// General chase over a pre-compiled [`ChaseProgram`] (semi-naive,
-/// indexed) — the entry point for plan-cache reuse across calls.
-pub fn chase_general_prepared(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-) -> Result<ChaseOutcome, ChaseFailure> {
-    chase_general_prepared_traced(db, program, egds, budget, &Telemetry::disabled())
-}
-
-/// [`chase_general_prepared`] with telemetry: a `chase.general` span
-/// (with final [`Consumption`] fields on success), chase counters, and
-/// the chase timer. With disabled telemetry this is the plain call.
-pub fn chase_general_prepared_traced(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    tel: &Telemetry,
-) -> Result<ChaseOutcome, ChaseFailure> {
-    run_general(db, program, egds, budget, true, true, 1, None, tel, None).map(|(o, ..)| o)
-}
-
-/// [`chase_general_prepared`] with each round's body-matching fanned
-/// across up to `threads` workers. **Bit-identical** to the sequential
-/// path — same tuples, same labeled-null ids, same [`ChaseStats`]:
-/// within a round, workers enumerate delta chunks against read-only
-/// index snapshots, the per-chunk match lists merge back in the
-/// sequential enumeration order, and firing plus the egd pass stay
-/// sequential. `threads <= 1` is exactly [`chase_general_prepared`].
-pub fn chase_general_parallel(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-) -> Result<ChaseOutcome, ChaseFailure> {
-    chase_general_parallel_traced(db, program, egds, budget, threads, &Telemetry::disabled())
-}
-
-/// [`chase_general_parallel`] with telemetry: the `chase.general` span
-/// additionally carries `parallel.workers` / `parallel.steals` /
-/// `parallel.tasks` fields and feeds the parallel counters.
-pub fn chase_general_parallel_traced(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-) -> Result<ChaseOutcome, ChaseFailure> {
-    run_general(db, program, egds, budget, true, true, threads, None, tel, None).map(|(o, ..)| o)
-}
-
-/// [`chase_general_parallel_traced`] with **adaptive re-optimization**:
-/// at each round boundary (a governor safepoint) every cost-compiled tgd
-/// plan is checked against current relation statistics, and a plan whose
-/// compile-time body cardinalities have drifted beyond `replan_ratio`
-/// (in either direction, ratio-of-ratios with +1 smoothing) is
-/// recompiled from the live statistics. Re-planning keeps the plan's
-/// frozen canonical enumeration order, so results stay bit-identical to
-/// the naive reference; only the walk order (and thus the work) changes.
-/// Returns the number of re-plans performed alongside the outcome.
-/// Greedy-compiled programs never re-plan: the check only fires for
-/// [`ChaseProgram::compile_costed`] plans.
-pub fn chase_general_adaptive(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-    replan_ratio: f64,
-) -> Result<(ChaseOutcome, u32), ChaseFailure> {
-    run_general(db, program, egds, budget, true, true, threads, Some(replan_ratio), tel, None)
-        .map(|(o, _, r)| (o, r))
-}
-
-/// [`chase_general_prepared`] plus a full [`ChaseExplain`]: per-tgd join
-/// orders (explained against the *pre-chase* database, so two identical
-/// runs report identically) and per-round deltas.
-pub fn chase_general_explained(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-) -> Result<(ChaseOutcome, ChaseExplain), ChaseFailure> {
-    general_explained(db, program, egds, budget, threads, tel, None)
-}
-
-/// [`chase_general_adaptive`] plus a full [`ChaseExplain`]: the report's
-/// `replans` field records how many mid-run re-optimizations fired, and
-/// renders only when non-zero so non-adaptive reports stay byte-stable.
-pub fn chase_general_adaptive_explained(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-    replan_ratio: f64,
-) -> Result<(ChaseOutcome, ChaseExplain), ChaseFailure> {
-    general_explained(db, program, egds, budget, threads, tel, Some(replan_ratio))
-}
-
-fn general_explained(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-    adapt: Option<f64>,
-) -> Result<(ChaseOutcome, ChaseExplain), ChaseFailure> {
-    let tgds = program.explain(db);
+    let tgds = run.explain.is_some().then(|| program.explain(db));
     let mut rounds = Vec::new();
-    let (outcome, _, replans) =
-        run_general(db, program, egds, budget, true, true, threads, adapt, tel, Some(&mut rounds))?;
-    let stats = match &outcome {
-        ChaseOutcome::Done(s) | ChaseOutcome::BoundExceeded(s) => *s,
-        ChaseOutcome::Failed { .. } => ChaseStats::default(),
-    };
-    Ok((
-        outcome,
-        ChaseExplain { mode: "general", stats, tgds, rounds, threads: threads.max(1), replans },
-    ))
+    let tuples_before = db.total_tuples();
+    let traced = Traced::open(&run, "chase.general", db.name.as_str());
+    let trace = tgds.is_some().then_some(&mut rounds);
+    let result = chase_general_impl(db, program, egds, &mut run, false, trace);
+    if let Some(t) = traced {
+        let new_tuples = db.total_tuples().saturating_sub(tuples_before);
+        t.close(&run, program.len(), Some(egds.len()), result.as_ref().map(|(_, p)| p), new_tuples);
+    }
+    let (outcome, pass) = result?;
+    if let (Some(sink), Some(tgds)) = (run.explain, tgds) {
+        let (stats, threads, replans) = (outcome.stats(), run.threads.max(1), pass.replans);
+        *sink = ChaseExplain { mode: "general", stats, tgds, rounds, threads, replans };
+    }
+    Ok(outcome)
 }
 
 /// Reference (naive) general chase: every round re-evaluates every tgd
-/// body in full, by scan. Bit-identical to [`chase_general_governed`] —
-/// same tuples, same labeled-null ids, same [`ChaseStats`] — kept public
-/// as the differential-testing oracle and benchmark baseline.
+/// body in full, by scan. Bit-identical to [`chase_general`] — same
+/// tuples, same labeled-null ids, same [`ChaseStats`] — kept public as
+/// the differential-testing oracle and benchmark baseline.
 pub fn chase_general_reference(
     db: &mut Database,
     tgds: &[Tgd],
@@ -619,108 +458,35 @@ pub fn chase_general_reference(
     budget: &ExecBudget,
 ) -> Result<ChaseOutcome, ChaseFailure> {
     let program = ChaseProgram::compile(tgds, db);
-    chase_general_impl(db, &program, egds, budget, false, false, 1, None, &Telemetry::disabled(), None)
-        .map(|(o, ..)| o)
+    let mut gov = Governor::new(budget);
+    chase_general_impl(db, &program, egds, &mut Run::new(&mut gov), true, None).map(|(o, _)| o)
 }
 
-/// Telemetry shell around [`chase_general_impl`].
-#[allow(clippy::too_many_arguments)] // internal: the public wrappers curry
-fn run_general(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    semi_naive: bool,
-    use_indexes: bool,
-    threads: usize,
-    adapt: Option<f64>,
-    tel: &Telemetry,
-    trace: Option<&mut Vec<RoundExplain>>,
-) -> Result<(ChaseOutcome, Consumption, u32), ChaseFailure> {
-    if !tel.is_enabled() {
-        return chase_general_impl(
-            db, program, egds, budget, semi_naive, use_indexes, threads, adapt, tel, trace,
-        )
-        .map(|(o, c, _, r)| (o, c, r));
-    }
-    let started = mm_telemetry::clock::now();
-    let tuples_before = db.total_tuples();
-    let mut span = Span::enter(tel, "chase.general", db.name.as_str());
-    let result = chase_general_impl(
-        db, program, egds, budget, semi_naive, use_indexes, threads, adapt, tel, trace,
-    );
-    let stats = match &result {
-        Ok((ChaseOutcome::Done(s) | ChaseOutcome::BoundExceeded(s), ..)) => *s,
-        Ok((ChaseOutcome::Failed { .. }, ..)) => ChaseStats::default(),
-        Err(f) => f.stats,
-    };
-    if let Some(m) = tel.metrics() {
-        m.add(Counter::ChaseRounds, stats.rounds as u64);
-        m.add(Counter::ChaseFirings, stats.fired as u64);
-        m.add(Counter::ChaseNullsMinted, stats.nulls as u64);
-        m.add(
-            Counter::ChaseDeltaTuples,
-            db.total_tuples().saturating_sub(tuples_before) as u64,
-        );
-        m.observe_us(Timer::Chase, mm_telemetry::clock::elapsed_us(started));
-    }
-    span.field("tgds", program.len());
-    span.field("egds", egds.len());
-    span.field("rounds", stats.rounds);
-    span.field("fired", stats.fired);
-    span.field("nulls", stats.nulls);
-    if let Ok((_, _, par, replans)) = &result {
-        record_parallel(tel, &mut span, threads, par);
-        if *replans > 0 {
-            // only emitted when adaptive re-optimization fired, so
-            // non-adaptive spans keep their field set byte-for-byte
-            span.field("replans", *replans);
-            tel.count(Counter::PlanMisestimates, *replans as u64);
-            tel.count(Counter::PlanReplans, *replans as u64);
-        }
-    }
-    match &result {
-        Ok((_, c, _, _)) => {
-            tel.count(Counter::BudgetStepsConsumed, c.steps);
-            tel.count(Counter::BudgetRowsConsumed, c.rows);
-            span.field("steps", c.steps);
-            span.field("rows", c.rows);
-            span.field("wall_us", c.wall_us);
-        }
-        Err(f) => span.field("error", f.error.to_string()),
-    }
-    span.finish();
-    result.map(|(o, c, _, r)| (o, c, r))
-}
-
-#[allow(clippy::type_complexity)] // watermark alias would hide, not help
-#[allow(clippy::too_many_arguments)] // internal: run_general is the only caller
+/// The general-chase fixpoint loop. `naive` re-evaluates every body in
+/// full each round and runs every join as a scan (the reference oracle).
 fn chase_general_impl(
     db: &mut Database,
     program: &ChaseProgram,
     egds: &[Egd],
-    budget: &ExecBudget,
-    semi_naive: bool,
-    use_indexes: bool,
-    threads: usize,
-    adapt: Option<f64>,
-    tel: &Telemetry,
+    run: &mut Run<'_>,
+    naive: bool,
     mut trace: Option<&mut Vec<RoundExplain>>,
-) -> Result<(ChaseOutcome, Consumption, mm_parallel::PoolRun, u32), ChaseFailure> {
-    let mut gov = Governor::new(budget);
+) -> Result<(ChaseOutcome, Pass), ChaseFailure> {
+    let use_indexes = !naive;
+    let max_rounds = run.gov.budget().max_rounds();
     let mut stats = ChaseStats::default();
     let mut par = mm_parallel::PoolRun::default();
     // per-tgd semi-naive watermarks: body-relation name → relation length
     // at this tgd's previous body evaluation. `None` = evaluate in full
     // (first round, or after an egd rewrite shifted insertion positions).
     let mut watermarks: Vec<Option<HashMap<String, u32>>> = vec![None; program.len()];
-    // adaptive re-optimization: a re-costed plan shadows the program's
-    // compiled plan for the rest of this run. Watermarks are keyed by
-    // relation name, not plan state, so they survive the swap.
-    let mut overrides: Vec<Option<TgdPlan>> = vec![None; program.len()];
+    // a re-costed plan shadows the program's compiled plan for the rest
+    // of this run. Watermarks are keyed by relation name, not plan
+    // state, so they survive the swap.
+    let mut overrides = Vec::new();
     let mut replans = 0u32;
     loop {
-        if let Some(limit) = budget.max_rounds() {
+        if let Some(limit) = max_rounds {
             if stats.rounds as u64 >= limit {
                 return Err(ChaseFailure {
                     error: ExecError::Diverged { rounds: limit },
@@ -728,40 +494,25 @@ fn chase_general_impl(
                 });
             }
         }
-        gov.check_now().map_err(|error| ChaseFailure { error, stats })?;
-        if let Some(ratio) = adapt {
-            // round boundaries are governor safepoints: compare each
-            // costed plan's compile-time body cardinalities with the
-            // live statistics; past the drift ratio, re-plan. recost()
-            // keeps the frozen canonical enumeration order, so the swap
-            // changes the walk (the work), never the results.
-            for (slot, compiled) in overrides.iter_mut().zip(program.plans()) {
-                let current = slot.as_ref().unwrap_or(compiled);
-                if current.is_costed() && current.misestimated(db, ratio) {
-                    if let Some(fresh) = current.recost(db) {
-                        *slot = Some(fresh);
-                        replans += 1;
-                    }
-                }
-            }
-        }
+        run.gov.check_now().map_err(|error| ChaseFailure { error, stats })?;
+        replans += replan(program, &mut overrides, db, run.replan);
         stats.rounds += 1;
         // per-round latency: one clock read per round when enabled, and
         // clock reads never touch results, so bit-identity is preserved
-        let round_started = tel.is_enabled().then(mm_telemetry::clock::now);
+        let round_started = run.tel.is_enabled().then(mm_telemetry::clock::now);
         let round_before = (stats.fired, stats.nulls, db.total_tuples());
         let mut changed = false;
         let mut round = |db: &mut Database,
                          stats: &mut ChaseStats,
                          changed: &mut bool,
                          watermarks: &mut Vec<Option<HashMap<String, u32>>>|
-         -> Result<Option<ChaseOutcome>, ExecError> {
+         -> Result<Option<usize>, ExecError> {
             for (ti, compiled) in program.plans().iter().enumerate() {
-                let plan = overrides[ti].as_ref().unwrap_or(compiled);
+                let plan = overrides.get(ti).and_then(Option::as_ref).unwrap_or(compiled);
                 let rel_len =
                     |db: &Database, r: &str| db.relation(r).map_or(0, |rel| rel.tuples().len() as u32);
                 let mut matches = Vec::new();
-                match watermarks[ti].as_ref().filter(|_| semi_naive) {
+                match watermarks[ti].as_ref().filter(|_| !naive) {
                     Some(wm) => {
                         let grew = plan
                             .body_rels()
@@ -773,32 +524,22 @@ fn chase_general_impl(
                             // fired) at this tgd's previous evaluation
                             continue;
                         }
-                        if threads > 1 {
-                            par.absorb(plan.body_matches_delta_parallel(
-                                db,
-                                wm,
-                                use_indexes,
-                                threads,
-                                &mut gov,
-                                &mut matches,
-                            )?);
-                        } else {
-                            plan.body_matches_delta(db, wm, use_indexes, &mut gov, &mut matches)?;
-                        }
+                        par.absorb(plan.body_matches_delta(
+                            db,
+                            wm,
+                            use_indexes,
+                            run.threads,
+                            run.gov,
+                            &mut matches,
+                        )?);
                     }
-                    None => {
-                        if threads > 1 {
-                            par.absorb(plan.body_matches_parallel(
-                                db,
-                                use_indexes,
-                                threads,
-                                &mut gov,
-                                &mut matches,
-                            )?);
-                        } else {
-                            plan.body_matches(db, use_indexes, &mut gov, &mut matches)?;
-                        }
-                    }
+                    None => par.absorb(plan.body_matches(
+                        db,
+                        use_indexes,
+                        run.threads,
+                        run.gov,
+                        &mut matches,
+                    )?),
                 }
                 // record the watermark before firing, so this tgd's own
                 // insertions count as next round's delta
@@ -809,15 +550,15 @@ fn chase_general_impl(
                         .collect(),
                 );
                 for m in matches {
-                    if plan.head_satisfied(&m.binding, db, use_indexes, &mut gov)? {
+                    if plan.head_satisfied(&m.binding, db, use_indexes, run.gov)? {
                         continue;
                     }
-                    plan.fire(&m.binding, db, stats, &mut gov)?;
+                    plan.fire(&m.binding, db, stats, run.gov)?;
                     *changed = true;
                 }
             }
             let mut egd_changed = false;
-            if let Some(failed) = egd_pass(db, egds, use_indexes, &mut gov, &mut egd_changed)? {
+            if let Some(failed) = egd_pass(db, egds, use_indexes, run.gov, &mut egd_changed)? {
                 return Ok(Some(failed));
             }
             if egd_changed {
@@ -831,7 +572,7 @@ fn chase_general_impl(
             }
             Ok(None)
         };
-        let outcome = match round(db, &mut stats, &mut changed, &mut watermarks) {
+        let failed_egd = match round(db, &mut stats, &mut changed, &mut watermarks) {
             Ok(o) => o,
             Err(error) => return Err(ChaseFailure { error, stats }),
         };
@@ -843,31 +584,33 @@ fn chase_general_impl(
                 new_tuples: db.total_tuples().saturating_sub(round_before.2),
             });
         }
-        if let (Some(started), Some(m)) = (round_started, tel.metrics()) {
+        if let (Some(started), Some(m)) = (round_started, run.tel.metrics()) {
             m.observe_hist(Hist::ChaseRoundUs, mm_telemetry::clock::elapsed_us(started));
         }
-        if let Some(failed) = outcome {
-            return Ok((failed, gov.consumption(), par, replans));
+        let pass = Pass { stats, par, replans };
+        if let Some(egd_index) = failed_egd {
+            return Ok((ChaseOutcome::Failed { egd_index, stats }, pass));
         }
         if !changed {
-            return Ok((ChaseOutcome::Done(stats), gov.consumption(), par, replans));
+            return Ok((ChaseOutcome::Done(stats), pass));
         }
     }
 }
 
 /// One egd pass: evaluate every egd body and resolve violations by
-/// equating labeled nulls (or failing on two distinct constants). Egd
-/// bodies are compiled fresh each pass so the greedy join order tracks
-/// current relation sizes, exactly like the per-call ordering of the
-/// naive path — egd processing order decides which null survives, so it
-/// must not drift between the reference and the indexed chase.
+/// equating labeled nulls, or stop at the index of the first egd that
+/// would equate two distinct constants. Egd bodies are compiled fresh
+/// each pass so the greedy join order tracks current relation sizes,
+/// exactly like the per-call ordering of the naive path — egd processing
+/// order decides which null survives, so it must not drift between the
+/// reference and the indexed chase.
 fn egd_pass(
     db: &mut Database,
     egds: &[Egd],
     use_indexes: bool,
     gov: &mut Governor,
     changed: &mut bool,
-) -> Result<Option<ChaseOutcome>, ExecError> {
+) -> Result<Option<usize>, ExecError> {
     for (i, egd) in egds.iter().enumerate() {
         let mut table = VarTable::new();
         let body = CqPlan::compile(&egd.body, &mut table, db, &[]);
@@ -894,7 +637,7 @@ fn egd_pass(
                 continue;
             }
             match (l.is_labeled(), r.is_labeled()) {
-                (false, false) => return Ok(Some(ChaseOutcome::Failed { egd_index: i })),
+                (false, false) => return Ok(Some(i)),
                 (true, _) => {
                     equate(db, l, r);
                     *changed = true;
@@ -973,6 +716,25 @@ mod tests {
         db
     }
 
+    /// Unbounded, sequential, untraced source-to-target chase.
+    fn st(target: &Schema, tgds: &[Tgd], source: &Database) -> (Database, ChaseStats) {
+        let program = ChaseProgram::compile(tgds, source);
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        chase_st(target, &program, source, Run::new(&mut gov)).unwrap()
+    }
+
+    /// Sequential, untraced general chase capped at `max_rounds`.
+    fn general(
+        db: &mut Database,
+        tgds: &[Tgd],
+        egds: &[Egd],
+        max_rounds: u64,
+    ) -> Result<ChaseOutcome, ChaseFailure> {
+        let program = ChaseProgram::compile(tgds, db);
+        let mut gov = Governor::new(&ExecBudget::unbounded().with_rounds(max_rounds));
+        chase_general(db, &program, egds, Run::new(&mut gov))
+    }
+
     #[test]
     fn st_chase_invents_nulls_for_existentials() {
         // Emp(e) -> exists m . Mgr(e, m) & Person(m)
@@ -980,7 +742,7 @@ mod tests {
             vec![Atom::vars("Emp", &["e"])],
             vec![Atom::vars("Mgr", &["e", "m"]), Atom::vars("Person", &["m"])],
         );
-        let (tgt, stats) = chase_st(&tgt_schema(), &[tgd], &src_db());
+        let (tgt, stats) = st(&tgt_schema(), &[tgd], &src_db());
         assert_eq!(stats.fired, 2);
         assert_eq!(stats.nulls, 2);
         let mgr = tgt.relation("Mgr").unwrap();
@@ -998,7 +760,7 @@ mod tests {
     fn st_chase_skips_satisfied_heads() {
         // full tgd: Emp(e) -> Person(e), chased twice adds nothing new
         let tgd = Tgd::new(vec![Atom::vars("Emp", &["e"])], vec![Atom::vars("Person", &["e"])]);
-        let (tgt, stats) = chase_st(&tgt_schema(), &[tgd.clone(), tgd], &src_db());
+        let (tgt, stats) = st(&tgt_schema(), &[tgd.clone(), tgd], &src_db());
         assert_eq!(tgt.relation("Person").unwrap().len(), 2);
         // second copy of the tgd fires nothing
         assert_eq!(stats.fired, 2);
@@ -1020,7 +782,7 @@ mod tests {
             vec![Atom::vars("T", &["x", "y"]), Atom::vars("T", &["y", "z"])],
             vec![Atom::vars("T", &["x", "z"])],
         );
-        let out = chase_general(&mut db, &[copy, trans], &[], 10);
+        let out = general(&mut db, &[copy, trans], &[], 10).unwrap();
         assert!(matches!(out, ChaseOutcome::Done(_)), "{out}");
         assert_eq!(db.relation("T").unwrap().len(), 3); // 12, 23, 13
     }
@@ -1035,8 +797,9 @@ mod tests {
         let mut db = Database::empty_of(&s);
         db.insert("R", Tuple::from([Value::Int(1), Value::Int(2)]));
         let t = Tgd::new(vec![Atom::vars("R", &["x", "y"])], vec![Atom::vars("R", &["y", "z"])]);
-        let out = chase_general(&mut db, &[t], &[], 5);
-        assert!(matches!(out, ChaseOutcome::BoundExceeded(_)));
+        let err = general(&mut db, &[t], &[], 5).unwrap_err();
+        assert_eq!(err.error, ExecError::Diverged { rounds: 5 });
+        assert_eq!(err.stats.rounds, 5);
     }
 
     #[test]
@@ -1055,7 +818,7 @@ mod tests {
             left: "v1".into(),
             right: "v2".into(),
         };
-        let out = chase_general(&mut db, &[], &[egd], 10);
+        let out = general(&mut db, &[], &[egd], 10).unwrap();
         assert!(matches!(out, ChaseOutcome::Done(_)));
         let r = db.relation("R").unwrap();
         assert_eq!(r.len(), 1);
@@ -1076,8 +839,9 @@ mod tests {
             left: "v1".into(),
             right: "v2".into(),
         };
-        let out = chase_general(&mut db, &[], &[egd], 10);
-        assert_eq!(out, ChaseOutcome::Failed { egd_index: 0 });
+        let out = general(&mut db, &[], &[egd], 10).unwrap();
+        let stats = ChaseStats { fired: 0, rounds: 1, nulls: 0 };
+        assert_eq!(out, ChaseOutcome::Failed { egd_index: 0, stats });
     }
 
     #[test]
@@ -1094,7 +858,7 @@ mod tests {
         let n2 = db.fresh_labeled();
         db.insert("R", Tuple::from([Value::Int(1), n1, Value::text("x")]));
         db.insert("R", Tuple::from([Value::Int(1), Value::text("v!"), n2]));
-        let out = chase_general(&mut db, &[], &egds, 10);
+        let out = general(&mut db, &[], &egds, 10).unwrap();
         assert!(matches!(out, ChaseOutcome::Done(_)), "{out}");
         let r = db.relation("R").unwrap();
         assert_eq!(r.len(), 1, "{r}");
@@ -1114,16 +878,61 @@ mod tests {
         let mut db = Database::empty_of(&s);
         db.insert("R", Tuple::from([Value::Int(1), Value::text("a")]));
         db.insert("R", Tuple::from([Value::Int(1), Value::text("b")]));
-        assert!(matches!(
-            chase_general(&mut db, &[], &egds, 10),
-            ChaseOutcome::Failed { .. }
-        ));
+        assert!(matches!(general(&mut db, &[], &egds, 10), Ok(ChaseOutcome::Failed { .. })));
     }
 
-    #[test]
-    fn semi_naive_general_chase_is_bit_identical_to_reference() {
-        // copy + transitive closure + existential invention: multiple
-        // rounds of semi-naive deltas, null minting order must match
+    /// One input of the bit-identity table, with an extra check on the
+    /// reference result.
+    struct Case {
+        name: &'static str,
+        /// `Some(target)`: source-to-target; `None`: general, in place.
+        target: Option<Schema>,
+        db: Database,
+        tgds: Vec<Tgd>,
+        egds: Vec<Egd>,
+        budget: ExecBudget,
+        check: fn(&Database, ChaseStats),
+    }
+
+    impl Case {
+        /// Either chase under `run`, as (instance, outcome); an s-t run
+        /// reports `Done`.
+        fn chase(&self, program: &ChaseProgram, run: Run<'_>) -> (Database, ChaseOutcome) {
+            match &self.target {
+                Some(t) => {
+                    let (db, stats) = chase_st(t, program, &self.db, run).unwrap();
+                    (db, ChaseOutcome::Done(stats))
+                }
+                None => {
+                    let mut db = self.db.clone();
+                    let outcome = chase_general(&mut db, program, &self.egds, run).unwrap();
+                    (db, outcome)
+                }
+            }
+        }
+
+        fn reference(&self) -> (Database, ChaseOutcome) {
+            match &self.target {
+                Some(t) => {
+                    let (db, stats) =
+                        chase_st_reference(t, &self.tgds, &self.db, &self.budget).unwrap();
+                    (db, ChaseOutcome::Done(stats))
+                }
+                None => {
+                    let mut db = self.db.clone();
+                    let outcome =
+                        chase_general_reference(&mut db, &self.tgds, &self.egds, &self.budget)
+                            .unwrap();
+                    (db, outcome)
+                }
+            }
+        }
+    }
+
+    /// A copy of `E` into `T`, transitive closure of `T`, and an
+    /// existential `W` per `T` edge, over an `n`-edge chain: several
+    /// semi-naive rounds with real deltas, null minting order exercised.
+    fn closure_case(name: &'static str, n: i64, rounds: u64) -> Case {
         let s = SchemaBuilder::new("S")
             .relation("E", &[("a", DataType::Int), ("b", DataType::Int)])
             .relation("T", &[("a", DataType::Int), ("b", DataType::Int)])
@@ -1131,10 +940,10 @@ mod tests {
             .build()
             .unwrap();
         let mut db = Database::empty_of(&s);
-        for i in 1..6 {
+        for i in 0..n {
             db.insert("E", Tuple::from([Value::Int(i), Value::Int(i + 1)]));
         }
-        let tgds = [
+        let tgds = vec![
             Tgd::new(vec![Atom::vars("E", &["x", "y"])], vec![Atom::vars("T", &["x", "y"])]),
             Tgd::new(
                 vec![Atom::vars("T", &["x", "y"]), Atom::vars("T", &["y", "z"])],
@@ -1142,59 +951,194 @@ mod tests {
             ),
             Tgd::new(vec![Atom::vars("T", &["x", "y"])], vec![Atom::vars("W", &["y", "w"])]),
         ];
-        let budget = ExecBudget::unbounded().with_rounds(32);
-        let mut fast = db.clone();
-        let mut slow = db;
-        let a = chase_general_governed(&mut fast, &tgds, &[], &budget).unwrap();
-        let b = chase_general_reference(&mut slow, &tgds, &[], &budget).unwrap();
-        assert_eq!(a, b, "outcome (incl. fired/rounds/nulls stats) must match");
-        assert_eq!(fast, slow, "instances must match tuple-for-tuple incl. null ids");
+        let budget = ExecBudget::unbounded().with_rounds(rounds);
+        Case { name, target: None, db, tgds, egds: vec![], budget, check: |_, _| {} }
     }
 
-    #[test]
-    fn semi_naive_with_egd_rewrites_is_bit_identical_to_reference() {
+    fn bit_identity_cases() -> Vec<Case> {
         // two tgds mint different nulls for the same key; the key egd
         // equates them mid-chase, which rewrites tuples and forces the
-        // semi-naive watermarks to reset — results must still match
-        let s = SchemaBuilder::new("S")
+        // semi-naive watermarks to reset
+        let keyed = SchemaBuilder::new("S")
             .relation("Src", &[("k", DataType::Int)])
             .relation("R", &[("k", DataType::Int), ("v", DataType::Any)])
             .key("R", &["k"])
             .build()
             .unwrap();
-        let mut db = Database::empty_of(&s);
-        db.insert("Src", Tuple::from([Value::Int(1)]));
-        db.insert("Src", Tuple::from([Value::Int(2)]));
-        let tgds = [
-            Tgd::new(vec![Atom::vars("Src", &["k"])], vec![Atom::vars("R", &["k", "v"])]),
-            Tgd::new(vec![Atom::vars("Src", &["k"])], vec![Atom::vars("R", &["k", "w"])]),
-        ];
-        let egds = egds_from_keys(&s);
-        let budget = ExecBudget::unbounded().with_rounds(32);
-        let mut fast = db.clone();
-        let mut slow = db;
-        let a = chase_general_governed(&mut fast, &tgds, &egds, &budget).unwrap();
-        let b = chase_general_reference(&mut slow, &tgds, &egds, &budget).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(fast, slow);
-        assert_eq!(fast.relation("R").unwrap().len(), 2);
+        let mut keyed_db = Database::empty_of(&keyed);
+        keyed_db.insert("Src", Tuple::from([Value::Int(1)]));
+        keyed_db.insert("Src", Tuple::from([Value::Int(2)]));
+        // a 300-edge chain with a 2-atom join body and an existential
+        // head: large enough that the parallel CQ path splits the first atom
+        let chain_src = SchemaBuilder::new("Src")
+            .relation("E", &[("a", DataType::Int), ("b", DataType::Int)])
+            .build()
+            .unwrap();
+        let chain_tgt = SchemaBuilder::new("Tgt")
+            .relation("M", &[("a", DataType::Int), ("b", DataType::Int), ("w", DataType::Any)])
+            .build()
+            .unwrap();
+        let mut chain = Database::empty_of(&chain_src);
+        for i in 0..300 {
+            chain.insert("E", Tuple::from([Value::Int(i), Value::Int(i + 1)]));
+        }
+        vec![
+            closure_case("semi-naive closure", 5, 32),
+            Case {
+                name: "semi-naive with egd rewrites",
+                target: None,
+                db: keyed_db,
+                tgds: vec![
+                    Tgd::new(vec![Atom::vars("Src", &["k"])], vec![Atom::vars("R", &["k", "v"])]),
+                    Tgd::new(vec![Atom::vars("Src", &["k"])], vec![Atom::vars("R", &["k", "w"])]),
+                ],
+                egds: egds_from_keys(&keyed),
+                budget: ExecBudget::unbounded().with_rounds(32),
+                check: |db, _| assert_eq!(db.relation("R").unwrap().len(), 2),
+            },
+            Case {
+                name: "st existential",
+                target: Some(tgt_schema()),
+                db: src_db(),
+                tgds: vec![Tgd::new(
+                    vec![Atom::vars("Emp", &["e"])],
+                    vec![Atom::vars("Mgr", &["e", "m"]), Atom::vars("Person", &["m"])],
+                )],
+                egds: vec![],
+                budget: ExecBudget::unbounded(),
+                check: |_, _| {},
+            },
+            Case {
+                name: "st join chain",
+                target: Some(chain_tgt),
+                db: chain,
+                tgds: vec![Tgd::new(
+                    vec![Atom::vars("E", &["x", "y"]), Atom::vars("E", &["y", "z"])],
+                    vec![Atom::vars("M", &["x", "z", "w"])],
+                )],
+                egds: vec![],
+                budget: ExecBudget::unbounded(),
+                check: |_, stats| assert_eq!(stats.nulls, 299, "every join match mints a null"),
+            },
+            closure_case("parallel closure", 32, 64),
+        ]
+    }
+
+    /// Runs the named input under every field of `Run` — threads,
+    /// telemetry, EXPLAIN sink, re-plan ratio — over greedy and
+    /// cost-based programs, checked against the naive reference oracle.
+    /// Returns how many explained runs re-planned.
+    fn assert_every_run_is_bit_identical(name: &str) -> usize {
+        let off = Telemetry::disabled();
+        let on = Telemetry::new(mm_telemetry::RingCollector::with_capacity(16));
+        let mut replanned = 0;
+        let case = bit_identity_cases().into_iter().find(|c| c.name == name).unwrap();
+        let (want_db, want) = case.reference();
+        (case.check)(&want_db, want.stats());
+        for costed in [false, true] {
+            let program = if costed {
+                ChaseProgram::compile_costed(&case.tgds, &case.db)
+            } else {
+                ChaseProgram::compile(&case.tgds, &case.db)
+            };
+            for threads in [1, 2, 4] {
+                for tel in [&off, &on] {
+                    for explained in [false, true] {
+                        for replan in [None, Some(8.0)] {
+                            let at = format!(
+                                "{}: costed={costed} threads={threads} traced={} \
+                                 explained={explained} replan={replan:?}",
+                                case.name,
+                                tel.is_enabled()
+                            );
+                            let mut gov = Governor::new(&case.budget);
+                            let mut explain = ChaseExplain::default();
+                            let run = Run {
+                                gov: &mut gov,
+                                threads,
+                                tel,
+                                explain: explained.then_some(&mut explain),
+                                replan,
+                            };
+                            let (db, outcome) = case.chase(&program, run);
+                            assert_eq!(outcome, want, "{at}");
+                            assert_eq!(db, want_db, "{at}");
+                            if explained {
+                                assert_eq!(explain.stats, want.stats(), "{at}");
+                                assert_eq!(explain.threads, threads, "{at}");
+                                assert_eq!(explain.rounds.len(), want.stats().rounds, "{at}");
+                                replanned += usize::from(explain.replans > 0);
+                            } else {
+                                assert_eq!(explain, ChaseExplain::default(), "{at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        replanned
+    }
+
+    #[test]
+    fn semi_naive_general_chase_is_bit_identical_to_reference() {
+        let replanned = assert_every_run_is_bit_identical("semi-naive closure");
+        assert!(replanned > 0, "costed closures start from empty relations and must re-plan");
+    }
+
+    #[test]
+    fn semi_naive_with_egd_rewrites_is_bit_identical_to_reference() {
+        assert_every_run_is_bit_identical("semi-naive with egd rewrites");
     }
 
     #[test]
     fn st_chase_indexed_is_bit_identical_to_reference() {
-        let tgd = Tgd::new(
-            vec![Atom::vars("Emp", &["e"])],
-            vec![Atom::vars("Mgr", &["e", "m"]), Atom::vars("Person", &["m"])],
-        );
-        let budget = ExecBudget::unbounded();
-        let (fast, fs) =
-            chase_st_governed(&tgt_schema(), std::slice::from_ref(&tgd), &src_db(), &budget)
-                .unwrap();
-        let (slow, ss) =
-            chase_st_reference(&tgt_schema(), std::slice::from_ref(&tgd), &src_db(), &budget)
-                .unwrap();
-        assert_eq!(fs, ss);
-        assert_eq!(fast, slow);
+        assert_every_run_is_bit_identical("st existential");
+    }
+
+    #[test]
+    fn parallel_st_chase_is_bit_identical_to_sequential() {
+        assert_every_run_is_bit_identical("st join chain");
+    }
+
+    #[test]
+    fn parallel_general_chase_is_bit_identical_to_sequential() {
+        let replanned = assert_every_run_is_bit_identical("parallel closure");
+        assert!(replanned > 0, "costed closures start from empty relations and must re-plan");
+    }
+
+    #[test]
+    fn an_egd_failure_reports_the_work_done_before_it() {
+        // round 1 copies Src into R; the key egd then finds R(1,a) and
+        // R(1,b) and fails. The run fired two tgds in one round, and
+        // the counters and the EXPLAIN header must say so.
+        let s = SchemaBuilder::new("S")
+            .relation("Src", &[("k", DataType::Int), ("v", DataType::Text)])
+            .relation("R", &[("k", DataType::Int), ("v", DataType::Text)])
+            .key("R", &["k"])
+            .build()
+            .unwrap();
+        let mut db = Database::empty_of(&s);
+        db.insert("Src", Tuple::from([Value::Int(1), Value::text("a")]));
+        db.insert("Src", Tuple::from([Value::Int(1), Value::text("b")]));
+        let tgds = [Tgd::new(
+            vec![Atom::vars("Src", &["k", "v"])],
+            vec![Atom::vars("R", &["k", "v"])],
+        )];
+        let program = ChaseProgram::compile(&tgds, &db);
+        let tel = Telemetry::new(mm_telemetry::RingCollector::with_capacity(16));
+        let mut gov = Governor::new(&ExecBudget::unbounded().with_rounds(8));
+        let mut explain = ChaseExplain::default();
+        let run = Run { tel: &tel, explain: Some(&mut explain), ..Run::new(&mut gov) };
+        let outcome = chase_general(&mut db, &program, &egds_from_keys(&s), run).unwrap();
+        let stats = ChaseStats { fired: 2, rounds: 1, nulls: 0 };
+        assert_eq!(outcome, ChaseOutcome::Failed { egd_index: 0, stats });
+        let snap = tel.metrics().unwrap().snapshot();
+        assert_eq!(snap.value("chase_rounds"), 1);
+        assert_eq!(snap.value("chase_firings"), 2);
+        assert_eq!(explain.stats, stats);
+        let header = explain.to_string();
+        let header = header.lines().next().unwrap();
+        assert!(header.contains("rounds=1") && header.contains("fired=2"), "{header}");
     }
 
     #[test]
@@ -1203,7 +1147,7 @@ mod tests {
             vec![Atom::vars("Emp", &["e"])],
             vec![Atom::vars("Person", &["e"])],
         );
-        let (tgt, _) = chase_st(&tgt_schema(), std::slice::from_ref(&tgd), &src_db());
+        let (tgt, _) = st(&tgt_schema(), std::slice::from_ref(&tgd), &src_db());
         // merge source+target and chase again: nothing fires
         let s2 = SchemaBuilder::new("Both")
             .relation("Emp", &[("e", DataType::Text)])
@@ -1223,78 +1167,9 @@ mod tests {
             }
         }
         let before = both.total_tuples();
-        let out = chase_general(&mut both, &[tgd], &[], 10);
+        let out = general(&mut both, &[tgd], &[], 10).unwrap();
         assert!(matches!(out, ChaseOutcome::Done(st) if st.fired == 0));
         assert_eq!(both.total_tuples(), before);
-    }
-
-    #[test]
-    fn parallel_st_chase_is_bit_identical_to_sequential() {
-        // 300-edge chain with a 2-atom join body and an existential head:
-        // large enough that the parallel CQ path actually splits the
-        // driver atom, existential so null-id minting order is exercised
-        let src_s = SchemaBuilder::new("Src")
-            .relation("E", &[("a", DataType::Int), ("b", DataType::Int)])
-            .build()
-            .unwrap();
-        let tgt_s = SchemaBuilder::new("Tgt")
-            .relation("M", &[("a", DataType::Int), ("b", DataType::Int), ("w", DataType::Any)])
-            .build()
-            .unwrap();
-        let mut src = Database::empty_of(&src_s);
-        for i in 0..300 {
-            src.insert("E", Tuple::from([Value::Int(i), Value::Int(i + 1)]));
-        }
-        let tgd = Tgd::new(
-            vec![Atom::vars("E", &["x", "y"]), Atom::vars("E", &["y", "z"])],
-            vec![Atom::vars("M", &["x", "z", "w"])],
-        );
-        let program = ChaseProgram::compile(std::slice::from_ref(&tgd), &src);
-        let budget = ExecBudget::unbounded();
-        let (seq, seq_stats) = chase_st_prepared(&tgt_s, &program, &src, &budget).unwrap();
-        assert_eq!(seq_stats.nulls, 299, "every join match mints a null");
-        for threads in [2, 4, 8] {
-            let (par, par_stats) =
-                chase_st_parallel(&tgt_s, &program, &src, &budget, threads).unwrap();
-            assert_eq!(par_stats, seq_stats, "stats must match at threads={threads}");
-            assert_eq!(par, seq, "instances must match at threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_general_chase_is_bit_identical_to_sequential() {
-        // copy + transitive closure + existential invention over a
-        // 128-edge chain: several semi-naive rounds with real deltas,
-        // each round's body matching fanned across workers
-        let s = SchemaBuilder::new("S")
-            .relation("E", &[("a", DataType::Int), ("b", DataType::Int)])
-            .relation("T", &[("a", DataType::Int), ("b", DataType::Int)])
-            .relation("W", &[("a", DataType::Int), ("w", DataType::Any)])
-            .build()
-            .unwrap();
-        let mut db = Database::empty_of(&s);
-        for i in 0..128 {
-            db.insert("E", Tuple::from([Value::Int(i), Value::Int(i + 1)]));
-        }
-        let tgds = [
-            Tgd::new(vec![Atom::vars("E", &["x", "y"])], vec![Atom::vars("T", &["x", "y"])]),
-            Tgd::new(
-                vec![Atom::vars("T", &["x", "y"]), Atom::vars("T", &["y", "z"])],
-                vec![Atom::vars("T", &["x", "z"])],
-            ),
-            Tgd::new(vec![Atom::vars("T", &["x", "y"])], vec![Atom::vars("W", &["y", "w"])]),
-        ];
-        let program = ChaseProgram::compile(&tgds, &db);
-        let budget = ExecBudget::unbounded().with_rounds(64);
-        let mut seq = db.clone();
-        let seq_out = chase_general_prepared(&mut seq, &program, &[], &budget).unwrap();
-        for threads in [2, 4, 8] {
-            let mut par = db.clone();
-            let par_out =
-                chase_general_parallel(&mut par, &program, &[], &budget, threads).unwrap();
-            assert_eq!(par_out, seq_out, "outcome must match at threads={threads}");
-            assert_eq!(par, seq, "instances must match at threads={threads}");
-        }
     }
 
     #[test]
@@ -1316,15 +1191,7 @@ mod tests {
         let solo_steps = {
             let budget = ExecBudget::unbounded();
             let mut gov = Governor::new(&budget);
-            chase_st_prepared_governed(
-                &tgt_schema(),
-                &program,
-                &src,
-                &mut gov,
-                1,
-                &Telemetry::disabled(),
-            )
-            .unwrap();
+            chase_st(&tgt_schema(), &program, &src, Run::new(&mut gov)).unwrap();
             gov.steps_consumed()
         };
         assert!(solo_steps > 4096, "workload must span several safepoints: {solo_steps}");
@@ -1333,14 +1200,7 @@ mod tests {
         let (_, mut govs) = lead.fork_shared(2);
         let mut trips = 0;
         for g in govs.iter_mut() {
-            let r = chase_st_prepared_governed(
-                &tgt_schema(),
-                &program,
-                &src,
-                g,
-                1,
-                &Telemetry::disabled(),
-            );
+            let r = chase_st(&tgt_schema(), &program, &src, Run::new(g));
             if let Err(f) = r {
                 assert!(matches!(f.error, ExecError::BudgetExhausted { .. }), "{f}");
                 trips += 1;

@@ -44,7 +44,8 @@ pub struct RoundExplain {
 }
 
 /// Full report of a chase run: program shape plus per-round history.
-#[derive(Debug, Clone, PartialEq)]
+/// The `Default` value is an empty sink for [`crate::Run::explain`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaseExplain {
     /// `"st"` (source-to-target, single pass) or `"general"` (fixpoint).
     pub mode: &'static str,
@@ -57,8 +58,8 @@ pub struct ChaseExplain {
     /// inputs degrade to sequential without changing this field, so the
     /// report stays byte-identical across machines.
     pub threads: usize,
-    /// Mid-run adaptive re-optimizations performed (see
-    /// [`crate::chase_general_adaptive`]). Zero for non-adaptive runs and
+    /// Adaptive re-optimizations performed (see [`crate::Run::replan`]).
+    /// Zero for non-adaptive runs and
     /// rendered only when non-zero, keeping pre-existing reports
     /// byte-identical.
     pub replans: u32,

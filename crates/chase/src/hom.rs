@@ -6,9 +6,11 @@
 //! composed mapping produces "the same" target as chasing through the
 //! intermediate schema.
 
-use mm_eval::cq::find_homomorphisms;
+use mm_eval::cq::{find_homomorphisms, Binding};
 use mm_expr::{Atom, Lit, Term};
+use mm_guard::{ExecBudget, Governor};
 use mm_instance::{Database, Value};
+use mm_telemetry::Telemetry;
 
 fn value_to_term(v: &Value) -> Term {
     match v {
@@ -39,7 +41,10 @@ pub fn exists_hom(from: &Database, to: &Database) -> bool {
     if atoms.is_empty() {
         return true;
     }
-    !find_homomorphisms(&atoms, to).is_empty()
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    // an unbounded governor with a private token cannot fail
+    find_homomorphisms(&atoms, to, &Binding::new(), &mut gov, 1, &Telemetry::disabled())
+        .is_ok_and(|homs| !homs.is_empty())
 }
 
 /// Homomorphic equivalence of two instances.

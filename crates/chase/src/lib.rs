@@ -9,9 +9,16 @@
 //!
 //! * [`chase::chase_st`] — the standard (restricted) chase of a source
 //!   instance with st-tgds, producing a universal target instance;
-//! * [`chase::chase_general`] — the bounded chase for arbitrary tgds
+//! * [`chase::chase_general`] — the chase for arbitrary tgds and egds
 //!   (target tgds included), which may not terminate and is therefore
-//!   step-bounded (composition of non-s-t tgds is undecidable, §6.1);
+//!   round-capped by its budget (composition of non-s-t tgds is
+//!   undecidable, §6.1);
+//! * [`chase::Run`] — how either chase runs: the governor it is metered
+//!   by, its thread count, telemetry, an optional EXPLAIN sink and the
+//!   adaptive re-plan ratio. No choice in it changes the result; each
+//!   chase keeps one naive reference oracle
+//!   ([`chase::chase_st_reference`], [`chase::chase_general_reference`])
+//!   as its spec;
 //! * [`certain::certain_answers`] — query evaluation with labeled-null
 //!   filtering;
 //! * [`core::core_of`] — greedy core minimization of a universal instance
@@ -29,13 +36,8 @@ pub mod plan;
 pub use crate::core::core_of;
 pub use certain::certain_answers;
 pub use chase::{
-    chase_general, chase_general_adaptive, chase_general_adaptive_explained,
-    chase_general_explained, chase_general_governed, chase_general_parallel,
-    chase_general_parallel_traced, chase_general_prepared, chase_general_prepared_traced,
-    chase_general_reference, chase_st, chase_st_explained, chase_st_governed, chase_st_parallel,
-    chase_st_parallel_traced, chase_st_prepared, chase_st_prepared_governed,
-    chase_st_prepared_traced, chase_st_reference, egds_from_keys, ChaseFailure, ChaseOutcome,
-    ChaseStats, Egd,
+    chase_general, chase_general_reference, chase_st, chase_st_prepared_governed,
+    chase_st_reference, egds_from_keys, ChaseFailure, ChaseOutcome, ChaseStats, Egd, Run,
 };
 pub use explain::{ChaseExplain, RoundExplain, TgdExplain};
 pub use hom::{exists_hom, hom_equivalent};

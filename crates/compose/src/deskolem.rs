@@ -125,7 +125,7 @@ fn fold_term(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sotgd::{compose_st_tgds, DEFAULT_CLAUSE_BOUND};
+    use crate::sotgd::{compose_unbounded, DEFAULT_CLAUSE_BOUND};
     use mm_expr::SoClause;
 
     #[test]
@@ -233,7 +233,7 @@ mod tests {
             vec![Atom::vars("S", &["x", "y"])],
             vec![Atom::vars("T", &["x", "z"])],
         )];
-        let so = compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose_unbounded(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
         let tgds = try_deskolemize(&so).expect("composition should be first-order here");
         assert_eq!(tgds.len(), 1);
         assert_eq!(tgds[0].body[0].relation, "R");

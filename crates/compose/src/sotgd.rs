@@ -7,7 +7,7 @@
 //! body atom, which is where the exponential lower bound on output size
 //! comes from (benchmark EQ1 measures exactly this growth).
 
-use mm_eval::cq::find_homomorphisms_governed;
+use mm_eval::cq::find_homomorphisms;
 use mm_expr::{Atom, Lit, SoClause, SoTgd, Term, Tgd};
 use mm_guard::{ExecBudget, ExecError, Governor};
 use mm_instance::{Database, Tuple, Value};
@@ -55,48 +55,28 @@ pub const DEFAULT_CLAUSE_BOUND: usize = 1 << 16;
 /// Compose `m12 : S1 → S2` with `m23 : S2 → S3`, producing an SO-tgd from
 /// S1 to S3. `clause_bound` caps the (worst-case exponential) output.
 ///
-/// Ungoverned wrapper over [`compose_st_tgds_governed`] (unbounded
-/// budget; the explicit `clause_bound` still applies).
+/// Besides the hard `clause_bound`, the governor's clause cap, step cap,
+/// wall clock and cancellation token are observed while splicing — the
+/// splice loop is the exponential part, so it polls the governor per
+/// produced clause *before* materializing it. Enabled telemetry wraps the
+/// call in a `compose.splice` span carrying input sizes, the
+/// emitted-clause count and the work metered, and feeds
+/// [`Counter::ComposeClausesEmitted`] and the compose timer; disabled
+/// telemetry costs one branch.
 pub fn compose_st_tgds(
     m12: &[Tgd],
     m23: &[Tgd],
     clause_bound: usize,
-) -> Result<SoTgd, ComposeError> {
-    compose_st_tgds_governed(m12, m23, clause_bound, &ExecBudget::unbounded())
-}
-
-/// Governed composition: in addition to the hard `clause_bound`, the
-/// budget's clause cap, step cap, wall clock, and cancellation token are
-/// observed while splicing — the splice loop is the exponential part, so
-/// it polls the governor per produced clause *before* materializing it.
-pub fn compose_st_tgds_governed(
-    m12: &[Tgd],
-    m23: &[Tgd],
-    clause_bound: usize,
-    budget: &ExecBudget,
-) -> Result<SoTgd, ComposeError> {
-    let mut gov = Governor::new(budget);
-    compose_impl(m12, m23, clause_bound, &mut gov)
-}
-
-/// [`compose_st_tgds_governed`] with telemetry: a `compose.splice` span
-/// carrying input sizes, emitted-clause count, and the governor's final
-/// consumption; feeds [`Counter::ComposeClausesEmitted`] and the compose
-/// timer. With disabled telemetry this is the plain governed call.
-pub fn compose_st_tgds_traced(
-    m12: &[Tgd],
-    m23: &[Tgd],
-    clause_bound: usize,
-    budget: &ExecBudget,
+    gov: &mut Governor,
     tel: &Telemetry,
 ) -> Result<SoTgd, ComposeError> {
-    let mut gov = Governor::new(budget);
     if !tel.is_enabled() {
-        return compose_impl(m12, m23, clause_bound, &mut gov);
+        return compose_impl(m12, m23, clause_bound, gov);
     }
     let started = mm_telemetry::clock::now();
+    let steps_before = gov.steps_consumed();
     let mut span = Span::enter(tel, "compose.splice", "");
-    let result = compose_impl(m12, m23, clause_bound, &mut gov);
+    let result = compose_impl(m12, m23, clause_bound, gov);
     span.field("m12_tgds", m12.len());
     span.field("m23_tgds", m23.len());
     match &result {
@@ -104,11 +84,11 @@ pub fn compose_st_tgds_traced(
             if let Some(m) = tel.metrics() {
                 m.add(Counter::ComposeClausesEmitted, so.clauses.len() as u64);
             }
-            let c = gov.consumption();
-            tel.count(Counter::BudgetStepsConsumed, c.steps);
+            let steps = gov.steps_consumed() - steps_before;
+            tel.count(Counter::BudgetStepsConsumed, steps);
             span.field("clauses", so.clauses.len());
-            span.field("steps", c.steps);
-            span.field("wall_us", c.wall_us);
+            span.field("steps", steps);
+            span.field("wall_us", mm_telemetry::clock::elapsed_us(started));
         }
         Err(e) => span.field("error", e.to_string()),
     }
@@ -117,6 +97,17 @@ pub fn compose_st_tgds_traced(
     }
     span.finish();
     result
+}
+
+/// [`compose_st_tgds`] under an unbounded budget, untraced.
+#[cfg(test)]
+pub(crate) fn compose_unbounded(
+    m12: &[Tgd],
+    m23: &[Tgd],
+    clause_bound: usize,
+) -> Result<SoTgd, ComposeError> {
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    compose_st_tgds(m12, m23, clause_bound, &mut gov, &Telemetry::disabled())
 }
 
 fn compose_impl(
@@ -326,8 +317,14 @@ pub fn apply_sotgd_governed(
     let mut skolem: HashMap<(String, Vec<Value>), Value> = HashMap::new();
 
     for clause in &sotgd.clauses {
-        let bindings =
-            find_homomorphisms_governed(&clause.body, source_db, &Default::default(), &mut gov)?;
+        let bindings = find_homomorphisms(
+            &clause.body,
+            source_db,
+            &Default::default(),
+            &mut gov,
+            1,
+            &Telemetry::disabled(),
+        )?;
         'bindings: for b in bindings {
             for (l, r) in &clause.eqs {
                 gov.step()?;
@@ -378,7 +375,8 @@ fn eval_term_rec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_chase::{chase_st, hom_equivalent};
+    use crate::transport::transport_via;
+    use mm_chase::hom_equivalent;
     use mm_metamodel::{DataType, SchemaBuilder};
 
     // The canonical Fagin et al. example:
@@ -400,7 +398,7 @@ mod tests {
 
     #[test]
     fn fagin_example_produces_function_terms_and_equality() {
-        let so = compose_st_tgds(&m12(), &m23(), DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose_unbounded(&m12(), &m23(), DEFAULT_CLAUSE_BOUND).unwrap();
         assert_eq!(so.clauses.len(), 2);
         // first clause: Emp(e) -> Mgr(e, f(e))
         let c0 = &so.clauses[0];
@@ -419,7 +417,7 @@ mod tests {
     fn full_tgds_compose_to_function_free_clauses() {
         let a = vec![Tgd::new(vec![Atom::vars("R", &["x", "y"])], vec![Atom::vars("S", &["x", "y"])])];
         let b = vec![Tgd::new(vec![Atom::vars("S", &["x", "y"])], vec![Atom::vars("T", &["y", "x"])])];
-        let so = compose_st_tgds(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose_unbounded(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
         assert_eq!(so.clauses.len(), 1);
         let c = &so.clauses[0];
         assert!(c.eqs.is_empty());
@@ -436,7 +434,7 @@ mod tests {
             vec![Atom::vars("S", &["x"]), Atom::vars("Z", &["x"])],
             vec![Atom::vars("T", &["x"])],
         )];
-        let so = compose_st_tgds(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose_unbounded(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
         assert!(so.clauses.is_empty());
     }
 
@@ -451,7 +449,7 @@ mod tests {
             vec![Atom::vars("S", &["x"]), Atom::vars("S", &["y"])],
             vec![Atom::vars("T", &["x", "y"])],
         )];
-        let so = compose_st_tgds(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose_unbounded(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
         assert_eq!(so.clauses.len(), 4);
     }
 
@@ -469,7 +467,7 @@ mod tests {
             ],
             vec![Atom::vars("T", &["x", "y", "z"])],
         )];
-        let err = compose_st_tgds(&a, &b, 4).unwrap_err();
+        let err = compose_unbounded(&a, &b, 4).unwrap_err();
         assert!(matches!(err, ComposeError::OutputTooLarge { .. }));
     }
 
@@ -495,11 +493,10 @@ mod tests {
         d1.insert("Emp", Tuple::from([Value::text("bob")]));
 
         // transport: chase through S2 then S3
-        let (d2, _) = chase_st(&s2, &m12(), &d1);
-        let (d3_chase, _) = chase_st(&s3, &m23(), &d2);
+        let (d3_chase, _, _) = transport_via(&s2, &m12(), &s3, &m23(), &d1).unwrap();
 
         // direct: apply composed SO-tgd
-        let so = compose_st_tgds(&m12(), &m23(), DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose_unbounded(&m12(), &m23(), DEFAULT_CLAUSE_BOUND).unwrap();
         let d3_direct = apply_sotgd(&so, &d1, &s3).unwrap();
 
         assert!(
@@ -520,7 +517,7 @@ mod tests {
             vec![Atom::vars("S", &["x", "y"]), Atom::vars("S", &["y", "x"])],
             vec![Atom::vars("T", &["x"])],
         )];
-        let so = compose_st_tgds(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose_unbounded(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
         let s1 = SchemaBuilder::new("S1")
             .relation("R", &[("x", DataType::Int)])
             .build()

@@ -1,31 +1,39 @@
 //! Instance transport through an intermediate schema — the semantic
 //! oracle for composition.
 
-use mm_chase::{chase_st, ChaseStats};
+use mm_chase::{chase_st, ChaseFailure, ChaseProgram, ChaseStats, Run};
 use mm_expr::Tgd;
+use mm_guard::{ExecBudget, Governor};
 use mm_instance::Database;
 use mm_metamodel::Schema;
 
 /// Chase `d1` through `m12` into S2, then through `m23` into S3 — the
 /// instance-level composition ⟨D1, D3⟩ realized by the canonical universal
 /// intermediate instance. Returns the final instance plus both chase
-/// stats (the EQ1/EQ7 benchmarks report these).
+/// stats (the EQ1/EQ7 benchmarks report these). Unbounded; a tgd the
+/// chase cannot fire (a function term in a head) is a typed
+/// [`ChaseFailure`].
 pub fn transport_via(
     s2: &Schema,
     m12: &[Tgd],
     s3: &Schema,
     m23: &[Tgd],
     d1: &Database,
-) -> (Database, ChaseStats, ChaseStats) {
-    let (d2, st12) = chase_st(s2, m12, d1);
-    let (d3, st23) = chase_st(s3, m23, &d2);
-    (d3, st12, st23)
+) -> Result<(Database, ChaseStats, ChaseStats), ChaseFailure> {
+    let budget = ExecBudget::unbounded();
+    let hop = |target: &Schema, tgds: &[Tgd], source: &Database| {
+        let program = ChaseProgram::compile(tgds, source);
+        chase_st(target, &program, source, Run::new(&mut Governor::new(&budget)))
+    };
+    let (d2, st12) = hop(s2, m12, d1)?;
+    let (d3, st23) = hop(s3, m23, &d2)?;
+    Ok((d3, st12, st23))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sotgd::{apply_sotgd, compose_st_tgds, DEFAULT_CLAUSE_BOUND};
+    use crate::sotgd::{apply_sotgd, compose_unbounded, DEFAULT_CLAUSE_BOUND};
     use mm_chase::hom_equivalent;
     use mm_expr::Atom;
     use mm_instance::{Tuple, Value};
@@ -58,8 +66,8 @@ mod tests {
             d1.insert("A", Tuple::from([Value::Int(i)]));
         }
 
-        let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1);
-        let so = compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
+        let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).unwrap();
+        let so = compose_unbounded(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
         let d3_direct = apply_sotgd(&so, &d1, &s3).unwrap();
         assert!(hom_equivalent(&d3_chase, &d3_direct));
         assert_eq!(d3_direct.relation("C").unwrap().len(), 4);
@@ -93,8 +101,8 @@ mod tests {
         d1.insert("E", Tuple::from([Value::Int(2), Value::Int(3)]));
         d1.insert("E", Tuple::from([Value::Int(3), Value::Int(1)]));
 
-        let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1);
-        let so = compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
+        let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).unwrap();
+        let so = compose_unbounded(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
         let d3_direct = apply_sotgd(&so, &d1, &s3).unwrap();
         assert!(hom_equivalent(&d3_chase, &d3_direct));
         assert_eq!(d3_direct.relation("Q").unwrap().len(), 3);

@@ -1,6 +1,6 @@
 //! The engine: repository-backed operator invocations.
 
-use mm_chase::{ChaseExplain, ChaseProgram};
+use mm_chase::{ChaseExplain, ChaseProgram, Run};
 use mm_expr::{CorrespondenceSet, Expr, Mapping, SoTgd, Tgd, ViewSet};
 use mm_guard::{ExecBudget, Governor};
 use mm_instance::{Database, Tuple};
@@ -71,35 +71,17 @@ pub struct EngineConfig {
     /// Baseline execution budget (steps, rows, wall clock, cancellation)
     /// applied to every governed operator. Defaults to unbounded.
     pub budget: ExecBudget,
-    /// Reuse compiled [`ChaseProgram`]s across calls. The cache is
-    /// sharded ([`PLAN_CACHE_SHARDS`] lock stripes) and keyed by mapping
-    /// *name*, with each entry remembering the [`ArtifactId`] it was
-    /// compiled from: storing a new version under the same name evicts
-    /// the stale plan on the next lookup, so a replaced mapping can
-    /// never serve its predecessor's plan. Defaults to `true`; disable
-    /// to force per-call compilation (e.g. when benchmarking compile
-    /// cost).
-    pub cache_plans: bool,
-    /// Compile chase programs with the cost-based planner
-    /// ([`mm_chase::ChaseProgram::compile_costed`]): tgd-body join orders
-    /// are chosen by cardinality/selectivity estimates from per-relation
-    /// statistics instead of the greedy size heuristic, and cached plans
-    /// whose compile-time statistics have drifted beyond
-    /// [`EngineConfig::replan_ratio`] are invalidated and recompiled on
-    /// their next use. Results are bit-identical either way — cost-based
-    /// plans re-emit matches in the canonical enumeration order — so this
-    /// only changes how much work a chase does. Defaults to `true`.
-    pub cost_based_plans: bool,
     /// Drift threshold for adaptive re-optimization, as a ratio between a
     /// plan's compile-time body-relation cardinalities and the live ones
-    /// (either direction, +1 smoothed). A cached or mid-run plan past the
-    /// threshold is re-planned against current statistics. Defaults to
-    /// `8.0`; only consulted when [`EngineConfig::cost_based_plans`] is
-    /// on.
+    /// (either direction, +1 smoothed). A cached plan past the threshold
+    /// is recompiled on its next use, and the general chase re-plans
+    /// mid-run at round boundaries ([`mm_chase::Run::replan`]). Defaults
+    /// to `8.0`.
     pub replan_ratio: f64,
     /// Degree of parallelism for chase and batch operators: the worker
     /// count for [`Engine::exchange_batch`] and for the within-round
-    /// body-matching fan-out of `exchange` / `chase_general`. `1` runs
+    /// body-matching fan-out of [`Engine::exchange`] /
+    /// [`Engine::chase_general`]. `1` runs
     /// everything sequentially (the reference oracle — parallel runs
     /// are bit-identical to it). Defaults to the machine's available
     /// parallelism.
@@ -123,8 +105,6 @@ impl Default for EngineConfig {
             chase_max_rounds: DEFAULT_CHASE_ROUNDS,
             compose_clause_bound: mm_compose::DEFAULT_CLAUSE_BOUND,
             budget: ExecBudget::unbounded(),
-            cache_plans: true,
-            cost_based_plans: true,
             replan_ratio: 8.0,
             threads: mm_parallel::available_parallelism(),
             durability: Durability::Ephemeral,
@@ -300,51 +280,41 @@ impl Engine {
         })
     }
 
-    /// The compiled chase program for mapping `name` at version `id`,
-    /// compiling (and caching, unless [`EngineConfig::cache_plans`] is
-    /// off) on first use. A cached plan compiled from an *older* version
-    /// of the same name is treated as a miss and replaced, and — under
-    /// [`EngineConfig::cost_based_plans`] — a cached plan whose
-    /// compile-time statistics have drifted from `db` beyond
-    /// [`EngineConfig::replan_ratio`] is invalidated and recompiled
-    /// against current cardinalities (counted as a plan misestimate plus
-    /// a re-plan). `db` only supplies cardinality statistics for the
-    /// compile; plan order never affects result sets.
+    /// The compiled chase program for mapping `name` at version `id`.
+    /// Programs are compiled by the cost-based planner
+    /// ([`ChaseProgram::compile_costed`]) and cached in a sharded
+    /// ([`PLAN_CACHE_SHARDS`] lock stripes) cache keyed by mapping
+    /// *name*, each entry remembering the [`ArtifactId`] it was compiled
+    /// from: a cached plan from an *older* version of the same name is a
+    /// miss and is replaced, so a replaced mapping never serves its
+    /// predecessor's plan. A cached plan whose compile-time statistics
+    /// have drifted from `db` beyond [`EngineConfig::replan_ratio`] is
+    /// invalidated and recompiled against current cardinalities (counted
+    /// on `tel` as a plan misestimate plus a re-plan). `db` only supplies
+    /// cardinality statistics for the compile; plan order never affects
+    /// result sets.
     fn chase_program(
         &self,
         name: &str,
         id: &ArtifactId,
         tgds: &[Tgd],
         db: &Database,
+        tel: &Telemetry,
     ) -> Arc<ChaseProgram> {
-        let tel = &self.config.telemetry;
-        let compile = |tgds: &[Tgd], db: &Database| {
-            if self.config.cost_based_plans {
-                Arc::new(ChaseProgram::compile_costed(tgds, db))
-            } else {
-                Arc::new(ChaseProgram::compile(tgds, db))
-            }
-        };
-        if !self.config.cache_plans {
-            tel.count(Counter::PlanCacheMisses, 1);
-            return compile(tgds, db);
-        }
         if let Some(program) = self.chase_plans.get(name, id) {
-            if self.config.cost_based_plans
-                && program.misestimated(db, self.config.replan_ratio)
-            {
-                tel.count(Counter::PlanMisestimates, 1);
-                self.chase_plans.invalidate(name);
-                let fresh = compile(tgds, db);
-                self.chase_plans.insert(name, id.clone(), Arc::clone(&fresh));
-                tel.count(Counter::PlanReplans, 1);
-                return fresh;
+            if !program.misestimated(db, self.config.replan_ratio) {
+                tel.count(Counter::PlanCacheHits, 1);
+                return program;
             }
-            tel.count(Counter::PlanCacheHits, 1);
-            return program;
+            tel.count(Counter::PlanMisestimates, 1);
+            self.chase_plans.invalidate(name);
+            let fresh = Arc::new(ChaseProgram::compile_costed(tgds, db));
+            self.chase_plans.insert(name, id.clone(), Arc::clone(&fresh));
+            tel.count(Counter::PlanReplans, 1);
+            return fresh;
         }
         tel.count(Counter::PlanCacheMisses, 1);
-        let program = compile(tgds, db);
+        let program = Arc::new(ChaseProgram::compile_costed(tgds, db));
         self.chase_plans.insert(name, id.clone(), Arc::clone(&program));
         program
     }
@@ -560,13 +530,9 @@ impl Engine {
         let t23 = Self::tgds_of(&m23)?;
         let tel = &self.config.telemetry;
         let mut span = Span::enter(tel, "engine.compose.tgd", format!("{aid} * {bid}"));
-        let so = match mm_compose::compose_st_tgds_traced(
-            &t12,
-            &t23,
-            self.config.compose_clause_bound,
-            &self.config.budget,
-            tel,
-        ) {
+        let mut gov = Governor::new(&self.config.budget);
+        let bound = self.config.compose_clause_bound;
+        let so = match mm_compose::compose_st_tgds(&t12, &t23, bound, &mut gov, tel) {
             Ok(so) => {
                 span.field("clauses", so.clauses.len());
                 so
@@ -576,6 +542,7 @@ impl Engine {
                 return Err(e.into());
             }
         };
+        // folding is metered apart from the splice
         let mut gov = Governor::new(&self.config.budget);
         let folded = match mm_compose::try_deskolemize_governed(&so, &mut gov)? {
             Some(tgds) => {
@@ -652,82 +619,56 @@ impl Engine {
     /// Data exchange: chase a source instance through a stored tgd mapping
     /// into the (stored) target schema; returns the universal instance.
     ///
-    /// Runs under the engine's configured [`ExecBudget`]; a budget trip or
-    /// cancellation surfaces as [`EngineError::Exec`]. The s-t chase
-    /// always terminates, so no round cap applies here — see
-    /// [`Self::chase_general`] for the capped general chase.
+    /// Runs under the engine's configured [`ExecBudget`], thread count
+    /// and telemetry; a budget trip or cancellation surfaces as
+    /// [`EngineError::Exec`]. The s-t chase always terminates, so no
+    /// round cap applies here — see [`Self::chase_general`] for the
+    /// capped general chase.
     pub fn exchange(
         &self,
         mapping: &str,
         target_schema: &str,
         source_db: &Database,
     ) -> Result<(Database, mm_chase::ChaseStats), EngineError> {
-        let (m, mid) = self.repo.latest_mapping(mapping)?;
-        let (t, _) = self.schema(target_schema)?;
-        let tgds = Self::tgds_of(&m)?;
-        let tel = &self.config.telemetry;
-        let mut span = Span::enter(tel, "engine.exchange", mid.to_string());
-        let program = self.chase_program(mapping, &mid, &tgds, source_db);
-        let result = mm_chase::chase_st_parallel_traced(
-            &t,
-            &program,
-            source_db,
-            &self.config.budget,
-            self.config.threads,
-            tel,
-        )
-        .map_err(|f| EngineError::Exec(f.into()));
-        match &result {
-            Ok((db, stats)) => {
-                span.field("fired", stats.fired);
-                span.field("target_tuples", db.total_tuples());
-            }
-            Err(e) => span.field("error", e.to_string()),
-        }
-        self.sample_alloc();
-        span.finish();
-        result
+        let mut gov = Governor::new(&self.config.budget);
+        let run = Run {
+            threads: self.config.threads,
+            tel: &self.config.telemetry,
+            ..Run::new(&mut gov)
+        };
+        self.exchange_with(mapping, target_schema, source_db, run)
     }
 
-    /// [`Self::exchange`] metered through a caller-supplied [`Governor`]
-    /// instead of the engine's configured budget. This is the server's
-    /// entry point: the governor carries the request's hard deadline and
-    /// publishes into the session's shared meter, so one tenant's
-    /// requests are bounded collectively while the engine itself stays
-    /// budget-agnostic. Plan caching, telemetry spans, and results are
-    /// identical to [`Self::exchange`].
-    pub fn exchange_governed(
+    /// [`Self::exchange`] under a caller's [`Run`]: its governor meters
+    /// the chase instead of the engine's budget, its thread count, its
+    /// telemetry and its re-plan ratio apply, and its EXPLAIN sink
+    /// receives the report — compiled join orders and per-atom
+    /// selectivities of every tgd body, computed against the *source*
+    /// instance, plus the chase's round deltas. The server serves wire
+    /// exchanges through this with the request's governor (its hard
+    /// deadline, publishing into the session's shared meter) at one
+    /// thread. Plan caching and results are identical to
+    /// [`Self::exchange`].
+    pub fn exchange_with(
         &self,
         mapping: &str,
         target_schema: &str,
         source_db: &Database,
-        gov: &mut Governor,
+        run: Run<'_>,
     ) -> Result<(Database, mm_chase::ChaseStats), EngineError> {
-        let (m, mid) = self.repo.latest_mapping(mapping)?;
-        let (t, _) = self.schema(target_schema)?;
-        let tgds = Self::tgds_of(&m)?;
-        let tel = &self.config.telemetry;
-        let mut span = Span::enter(tel, "engine.exchange", mid.to_string());
-        let program = self.chase_program(mapping, &mid, &tgds, source_db);
-        let result =
-            mm_chase::chase_st_prepared_governed(&t, &program, source_db, gov, 1, tel)
-                .map_err(|f| EngineError::Exec(f.into()));
-        match &result {
-            Ok((db, stats)) => {
-                span.field("fired", stats.fired);
-                span.field("target_tuples", db.total_tuples());
-            }
-            Err(e) => span.field("error", e.to_string()),
-        }
-        self.sample_alloc();
-        span.finish();
-        result
+        let (op, tel) = ("engine.exchange", run.tel);
+        self.run_chase(op, mapping, target_schema, source_db, tel, |t, program, span| {
+            let (db, stats) = mm_chase::chase_st(t, program, source_db, run)?;
+            span.field("fired", stats.fired);
+            span.field("target_tuples", db.total_tuples());
+            Ok((db, stats))
+        })
     }
 
     /// Answer a conjunctive query against a stored base schema through a
     /// chain of stored view sets, metered through a caller-supplied
     /// [`Governor`] (the same server-facing contract as
-    /// [`Self::exchange_governed`]). Builds the mediator over the chain,
+    /// [`Self::exchange_with`]). Builds the mediator over the chain,
     /// plans under the governor (degrading to chained unfolding on a
     /// budget trip, never on a deadline), and evaluates the query.
     pub fn mediate_governed(
@@ -871,146 +812,98 @@ impl Engine {
         Ok(self.propagator.status(id)?)
     }
 
-    /// [`Self::exchange`] with an EXPLAIN report: alongside the universal
-    /// instance, a [`ChaseExplain`] carrying the compiled join order and
-    /// per-atom selectivities of every tgd body plus the per-round chase
-    /// deltas. The report is computed against the *source* instance, so
-    /// two identical invocations render byte-identical text.
-    pub fn explain_exchange(
-        &self,
-        mapping: &str,
-        target_schema: &str,
-        source_db: &Database,
-    ) -> Result<(Database, mm_chase::ChaseStats, ChaseExplain), EngineError> {
-        let (m, mid) = self.repo.latest_mapping(mapping)?;
-        let (t, _) = self.schema(target_schema)?;
-        let tgds = Self::tgds_of(&m)?;
-        let program = self.chase_program(mapping, &mid, &tgds, source_db);
-        mm_chase::chase_st_explained(
-            &t,
-            &program,
-            source_db,
-            &self.config.budget,
-            self.config.threads,
-            &self.config.telemetry,
-        )
-        .map_err(|f| EngineError::Exec(f.into()))
-    }
-
     /// A plan-only EXPLAIN of the exchange `mapping` would run over
     /// `source_db`: the compiled (cached) join orders and per-atom
     /// cardinalities of every tgd body, with no rounds — nothing
     /// executes, so this stays cheap even when the exchange itself was
     /// pathological. The server's slow-query log attaches this to
-    /// exchange-shaped requests after the fact (DESIGN.md §15);
-    /// `mode=plan` distinguishes it from the executed `st`/`general`
-    /// reports.
-    pub fn plan_explain(&self, mapping: &str, source_db: &Database) -> Result<String, EngineError> {
+    /// exchange-shaped requests after the fact (DESIGN.md §15), with
+    /// `threads` the count the request ran at; `mode=plan`
+    /// distinguishes it from the executed `st`/`general` reports.
+    pub fn plan_explain(
+        &self,
+        mapping: &str,
+        source_db: &Database,
+        threads: usize,
+    ) -> Result<String, EngineError> {
         let (m, mid) = self.repo.latest_mapping(mapping)?;
         let tgds = Self::tgds_of(&m)?;
-        let program = self.chase_program(mapping, &mid, &tgds, source_db);
+        let program = self.chase_program(mapping, &mid, &tgds, source_db, &self.config.telemetry);
         let explain = ChaseExplain {
             mode: "plan",
             stats: mm_chase::ChaseStats::default(),
             tgds: program.explain(source_db),
             rounds: Vec::new(),
-            threads: self.config.threads.max(1),
+            threads: threads.max(1),
             replans: 0,
         };
         Ok(explain.to_string())
     }
 
-    /// Run the bounded general chase of `source_db` with a stored tgd
-    /// mapping's constraints plus the key egds of `schema`. The chase may
-    /// diverge, so it runs under the configured round cap
-    /// ([`EngineConfig::chase_max_rounds`], default
+    /// Run the general chase of `source_db` with a stored tgd mapping's
+    /// constraints plus the key egds of `schema`, returning the chased
+    /// copy. The chase may diverge, so it runs under the configured
+    /// round cap ([`EngineConfig::chase_max_rounds`], default
     /// [`DEFAULT_CHASE_ROUNDS`]) and budget; divergence surfaces as
-    /// [`EngineError::Exec`] with [`mm_guard::ExecError::Diverged`].
+    /// [`EngineError::Exec`] with [`mm_guard::ExecError::Diverged`]. It
+    /// runs at the configured thread count and re-plans drifted plans
+    /// at round boundaries ([`EngineConfig::replan_ratio`]). When
+    /// `explain` is set it receives the per-round deltas plus the
+    /// compiled body plans, with selectivities computed against the
+    /// *pre-chase* instance so two identical invocations render
+    /// byte-identical text.
     pub fn chase_general(
         &self,
         mapping: &str,
         schema: &str,
         source_db: &Database,
+        explain: Option<&mut ChaseExplain>,
     ) -> Result<(Database, mm_chase::ChaseOutcome), EngineError> {
+        let tel = &self.config.telemetry;
+        let mut db = source_db.clone();
+        let mut gov = Governor::new(&self.chase_budget());
+        let run = Run {
+            gov: &mut gov,
+            threads: self.config.threads,
+            tel,
+            explain,
+            replan: Some(self.config.replan_ratio),
+        };
+        let op = "engine.chase_general";
+        let outcome = self.run_chase(op, mapping, schema, source_db, tel, |s, program, span| {
+            let egds = mm_chase::egds_from_keys(s);
+            let outcome = mm_chase::chase_general(&mut db, program, &egds, run)?;
+            span.field("outcome", outcome.to_string());
+            Ok(outcome)
+        })?;
+        Ok((db, outcome))
+    }
+
+    /// The body [`Self::exchange_with`] and [`Self::chase_general`]
+    /// share: resolve the stored mapping and schema, fetch (or compile)
+    /// the plan against `plan_db`'s statistics, and run `chase` inside
+    /// an `op` span that records the error on failure.
+    fn run_chase<T>(
+        &self,
+        op: &'static str,
+        mapping: &str,
+        schema: &str,
+        plan_db: &Database,
+        tel: &Telemetry,
+        chase: impl FnOnce(&Schema, &ChaseProgram, &mut Span) -> Result<T, mm_chase::ChaseFailure>,
+    ) -> Result<T, EngineError> {
         let (m, mid) = self.repo.latest_mapping(mapping)?;
         let (s, _) = self.schema(schema)?;
         let tgds = Self::tgds_of(&m)?;
-        let egds = mm_chase::egds_from_keys(&s);
-        let mut db = source_db.clone();
-        let tel = &self.config.telemetry;
-        let mut span = Span::enter(tel, "engine.chase_general", mid.to_string());
-        let program = self.chase_program(mapping, &mid, &tgds, &db);
-        let result = if self.config.cost_based_plans {
-            // adaptive: at each round boundary, plans whose statistics
-            // drifted past the configured ratio are re-planned mid-run
-            mm_chase::chase_general_adaptive(
-                &mut db,
-                &program,
-                &egds,
-                &self.chase_budget(),
-                self.config.threads,
-                tel,
-                self.config.replan_ratio,
-            )
-            .map(|(o, _)| o)
-        } else {
-            mm_chase::chase_general_parallel_traced(
-                &mut db,
-                &program,
-                &egds,
-                &self.chase_budget(),
-                self.config.threads,
-                tel,
-            )
-        }
-        .map_err(|f| EngineError::Exec(f.into()));
-        match &result {
-            Ok(outcome) => span.field("outcome", outcome.to_string()),
-            Err(e) => span.field("error", e.to_string()),
+        let mut span = Span::enter(tel, op, mid.to_string());
+        let program = self.chase_program(mapping, &mid, &tgds, plan_db, tel);
+        let result = chase(&s, &program, &mut span).map_err(|f| EngineError::Exec(f.into()));
+        if let Err(e) = &result {
+            span.field("error", e.to_string());
         }
         self.sample_alloc();
         span.finish();
-        Ok((db, result?))
-    }
-
-    /// [`Self::chase_general`] with an EXPLAIN report: per-round deltas
-    /// of the general-chase fixpoint plus the compiled body plans, with
-    /// selectivities computed against the *pre-chase* instance so two
-    /// identical invocations render byte-identical text.
-    pub fn explain_chase_general(
-        &self,
-        mapping: &str,
-        schema: &str,
-        source_db: &Database,
-    ) -> Result<(Database, mm_chase::ChaseOutcome, ChaseExplain), EngineError> {
-        let (m, mid) = self.repo.latest_mapping(mapping)?;
-        let (s, _) = self.schema(schema)?;
-        let tgds = Self::tgds_of(&m)?;
-        let egds = mm_chase::egds_from_keys(&s);
-        let mut db = source_db.clone();
-        let program = self.chase_program(mapping, &mid, &tgds, &db);
-        let (outcome, explain) = if self.config.cost_based_plans {
-            mm_chase::chase_general_adaptive_explained(
-                &mut db,
-                &program,
-                &egds,
-                &self.chase_budget(),
-                self.config.threads,
-                &self.config.telemetry,
-                self.config.replan_ratio,
-            )
-        } else {
-            mm_chase::chase_general_explained(
-                &mut db,
-                &program,
-                &egds,
-                &self.chase_budget(),
-                self.config.threads,
-                &self.config.telemetry,
-            )
-        }
-        .map_err(|f| EngineError::Exec(f.into()))?;
-        Ok((db, outcome, explain))
+        result
     }
 
     /// Serve a batch of data-exchange requests, fanning the chases
@@ -1069,7 +962,7 @@ impl Engine {
                 let (m, mid) = self.repo.latest_mapping(r.mapping)?;
                 let (t, _) = self.schema(r.target_schema)?;
                 let tgds = Self::tgds_of(&m)?;
-                let program = self.chase_program(r.mapping, &mid, &tgds, r.source_db);
+                let program = self.chase_program(r.mapping, &mid, &tgds, r.source_db, tel);
                 Ok((t, program))
             })
             .collect();
@@ -1091,16 +984,10 @@ impl Engine {
                     return Ok(None);
                 };
                 let mut gov = govs[i].lock();
+                let run = Run { tel, ..Run::new(&mut gov) };
                 Ok(Some(
-                    mm_chase::chase_st_prepared_governed(
-                        schema,
-                        program,
-                        requests[i].source_db,
-                        &mut gov,
-                        1,
-                        tel,
-                    )
-                    .map_err(|f| EngineError::Exec(f.into())),
+                    mm_chase::chase_st(schema, program, requests[i].source_db, run)
+                        .map_err(|f| EngineError::Exec(f.into())),
                 ))
             },
         );
@@ -1289,7 +1176,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_reuses_per_mapping_version_and_can_be_disabled() {
+    fn plan_cache_reuses_per_mapping_version() {
         let copy_mapping = || {
             let mut m = Mapping::new("S", "T");
             m.push_tgd(mm_expr::Tgd::new(
@@ -1339,24 +1226,12 @@ mod tests {
             .unwrap();
         let mut gdb = Database::empty_of(&both);
         gdb.insert("R", mm_instance::Tuple::from([Value::Int(1)]));
-        engine.chase_general("m", "T", &gdb).unwrap();
+        engine.chase_general("m", "T", &gdb, None).unwrap();
         assert_eq!(engine.cached_chase_plans(), 1);
         assert_eq!(
             engine.cached_chase_plan_shards().iter().sum::<usize>(),
             engine.cached_chase_plans()
         );
-
-        // and the knob disables caching entirely
-        let uncached =
-            Engine::with_config(EngineConfig { cache_plans: false, ..Default::default() })
-                .unwrap();
-        let s = schemas(&uncached);
-        uncached.add_mapping("m", copy_mapping()).unwrap();
-        let mut db = Database::empty_of(&s);
-        db.insert("R", mm_instance::Tuple::from([Value::Int(1)]));
-        let (out3, _) = uncached.exchange("m", "T", &db).unwrap();
-        assert_eq!(uncached.cached_chase_plans(), 0);
-        assert_eq!(out1, out3);
     }
 
     #[test]
@@ -1401,7 +1276,14 @@ mod tests {
         }
         engine.exchange("m", "T", &db1).unwrap();
         assert_eq!(engine.cached_chase_plans(), 1);
-        let (_, _, ex1) = engine.explain_exchange("m", "T", &db1).unwrap();
+        let explain = |db: &Database| {
+            let mut gov = Governor::new(&ExecBudget::unbounded());
+            let mut explain = ChaseExplain::default();
+            let run = Run { tel: &tel, explain: Some(&mut explain), ..Run::new(&mut gov) };
+            engine.exchange_with("m", "T", db, run).unwrap();
+            explain
+        };
+        let ex1 = explain(&db1);
         assert_eq!(ex1.tgds[0].body.join_order, ["Tiny", "Big"]);
         assert_eq!(tel.metrics().unwrap().snapshot().value("plan_replans"), 0);
 
@@ -1418,33 +1300,17 @@ mod tests {
         assert_eq!(snap.value("plan_misestimates"), 1);
         assert_eq!(snap.value("plan_replans"), 1);
         assert_eq!(engine.cached_chase_plans(), 1, "invalidate then reinsert, no growth");
-        let (_, _, ex2) = engine.explain_exchange("m", "T", &db2).unwrap();
+        let ex2 = explain(&db2);
         assert_eq!(ex2.tgds[0].body.join_order, ["Big", "Tiny"], "order corrected");
         // the corrected plan fits current statistics: no further re-plan
         assert_eq!(tel.metrics().unwrap().snapshot().value("plan_replans"), 1);
 
-        // bit-identity against a greedy (non-cost-based) engine
-        let greedy = Engine::with_config(EngineConfig {
-            cost_based_plans: false,
-            threads: 1,
-            ..Default::default()
-        })
-        .unwrap();
-        greedy.add_schema(s).unwrap();
-        greedy.add_schema(
-            SchemaBuilder::new("T")
-                .relation("U", &[("a", DataType::Int), ("b", DataType::Int)])
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let mut m2 = Mapping::new("S", "T");
-        m2.push_tgd(mm_expr::Tgd::new(
-            vec![mm_expr::Atom::vars("Big", &["x", "y"]), mm_expr::Atom::vars("Tiny", &["x"])],
-            vec![mm_expr::Atom::vars("U", &["x", "y"])],
-        ));
-        greedy.add_mapping("m", m2).unwrap();
-        let (ref_out, _) = greedy.exchange("m", "T", &db2).unwrap();
+        // bit-identity against a greedy (non-cost-based) program
+        let (m, _) = engine.repo.latest_mapping("m").unwrap();
+        let (t, _) = engine.repo.latest_schema("T").unwrap();
+        let greedy = ChaseProgram::compile(&Engine::tgds_of(&m).unwrap(), &db2);
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        let (ref_out, _) = mm_chase::chase_st(&t, &greedy, &db2, Run::new(&mut gov)).unwrap();
         assert_eq!(out, ref_out);
     }
 

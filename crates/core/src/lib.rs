@@ -32,27 +32,19 @@ pub mod prelude {
     pub use crate::plan_cache::{PlanCache, PLAN_CACHE_SHARDS};
     pub use crate::script::{run_script, ScriptError};
     pub use mm_chase::{
-        certain_answers, chase_general, chase_general_adaptive, chase_general_adaptive_explained,
-        chase_general_explained, chase_general_governed,
-        chase_general_parallel, chase_general_parallel_traced, chase_general_prepared,
-        chase_general_prepared_traced, chase_general_reference, chase_st, chase_st_explained,
-        chase_st_governed, chase_st_parallel, chase_st_parallel_traced, chase_st_prepared,
-        chase_st_prepared_governed, chase_st_prepared_traced, chase_st_reference, core_of,
-        egds_from_keys, exists_hom, hom_equivalent, ChaseExplain, ChaseFailure, ChaseOutcome,
-        ChaseProgram, ChaseStats, Egd, RoundExplain, TgdExplain,
+        certain_answers, chase_general, chase_general_reference, chase_st, chase_st_reference,
+        core_of, egds_from_keys, exists_hom, hom_equivalent, ChaseExplain, ChaseFailure,
+        ChaseOutcome, ChaseProgram, ChaseStats, Egd, RoundExplain, Run, TgdExplain,
     };
     pub use mm_compose::{
-        apply_sotgd, apply_sotgd_governed, compose_expr_mappings, compose_st_tgds,
-        compose_st_tgds_governed, compose_st_tgds_traced, compose_views, transport_via,
-        try_deskolemize, try_deskolemize_governed, ComposeError, DEFAULT_CLAUSE_BOUND,
+        apply_sotgd, apply_sotgd_governed, compose_expr_mappings, compose_st_tgds, compose_views,
+        transport_via, try_deskolemize, try_deskolemize_governed, ComposeError,
+        DEFAULT_CLAUSE_BOUND,
     };
     pub use mm_eval::{
-        eval, eval_governed, find_homomorphisms, find_homomorphisms_costed,
-        find_homomorphisms_governed,
-        find_homomorphisms_naive, find_homomorphisms_parallel, find_homomorphisms_traced,
-        materialize_views,
-        materialize_views_governed, unfold_query, AtomExplain, CqPlan, EvalError, PlanExplain,
-        VarTable,
+        eval, eval_governed, find_homomorphisms, find_homomorphisms_naive, materialize_views,
+        materialize_views_governed, unfold_query, AtomExplain, CqPlan, EvalError, ExecOptions,
+        PlanExplain, PlanMatch, VarTable,
     };
     pub use mm_guard::{
         CancelToken, Consumption, Degradation, DegradationKind, ExecBudget, ExecError, Governor,

@@ -8,8 +8,9 @@
 
 use crate::plan::{lit_to_value, CqPlan, ExecOptions, VarTable};
 use mm_expr::{Atom, Term};
-use mm_guard::{ExecBudget, ExecError, Governor};
+use mm_guard::{ExecError, Governor};
 use mm_instance::{Database, Tuple, Value};
+use mm_telemetry::{Counter, Span, Telemetry};
 use std::collections::HashMap;
 
 /// A variable binding: variable name → value.
@@ -78,45 +79,70 @@ fn order_atoms<'a>(atoms: &'a [Atom], db: &Database) -> Vec<&'a Atom> {
     ordered
 }
 
-/// Find all homomorphisms from the conjunction `atoms` into `db`.
+/// Find all homomorphisms from the conjunction `atoms` into `db` that
+/// extend `seed`. Variables pre-bound in `seed` are fixed (the chase
+/// seeds a tgd head with its body binding: labeled nulls must match
+/// themselves, not re-map), and every seed entry is carried into every
+/// result. Atoms over relations missing from the database yield no
+/// bindings — an empty relation, not an error.
 ///
-/// Atoms over relations missing from the database yield no bindings (an
-/// empty relation, not an error — the chase routinely queries targets
-/// whose relations are not yet populated).
-pub fn find_homomorphisms(atoms: &[Atom], db: &Database) -> Vec<Binding> {
-    find_homomorphisms_seeded(atoms, db, &Binding::new())
-}
-
-/// Like [`find_homomorphisms`], but variables pre-bound in `seed` are
-/// fixed. Used by the chase to test whether a tgd head is already
-/// satisfied under the body binding (labeled nulls in the seed must match
-/// themselves, not re-map).
-pub fn find_homomorphisms_seeded(
-    atoms: &[Atom],
-    db: &Database,
-    seed: &Binding,
-) -> Vec<Binding> {
-    let mut gov = Governor::new(&ExecBudget::unbounded());
-    // an unbounded governor with a private token cannot fail
-    find_homomorphisms_governed(atoms, db, seed, &mut gov).unwrap_or_default()
-}
-
-/// Governed homomorphism search: every join probe is metered as one
-/// budget step, so an exponential join trips `BudgetExhausted` (or
-/// observes cancellation) instead of running unbounded. The governor is
-/// borrowed, not owned, so a pipeline (e.g. one chase round firing many
-/// tgds) accumulates work against a single budget.
+/// The conjunction compiles into a greedy [`CqPlan`] (slot bindings,
+/// index probes) whose results — including their order — are identical
+/// to [`find_homomorphisms_naive`], the differential-testing oracle:
 ///
-/// Since PR 2 this compiles the conjunction into a [`CqPlan`] (slot
-/// bindings, index probes) and executes that; results — including their
-/// order — are identical to [`find_homomorphisms_naive`], which is kept
-/// as the differential-testing oracle. Callers that evaluate the same
-/// conjunction repeatedly should compile a [`CqPlan`] once instead.
-pub fn find_homomorphisms_governed(
+/// * every join probe is metered as one step of `gov`, so an exponential
+///   join trips `BudgetExhausted` (or observes cancellation) instead of
+///   running unbounded; the governor is borrowed so a pipeline can
+///   accumulate work against one budget;
+/// * `threads > 1` splits the first plan atom's tuple range across
+///   workers ([`CqPlan::execute_parallel`]), with the same results and
+///   step count; a small first relation runs sequentially;
+/// * enabled telemetry wraps the search in an `eval.homomorphisms` span
+///   and feeds the found/pruned counters (probes that bound a full match
+///   vs. probes the join rejected); disabled telemetry costs one branch.
+///
+/// Callers that evaluate the same conjunction repeatedly should compile
+/// a [`CqPlan`] once instead.
+pub fn find_homomorphisms(
     atoms: &[Atom],
     db: &Database,
     seed: &Binding,
     gov: &mut Governor,
+    threads: usize,
+    tel: &Telemetry,
+) -> Result<Vec<Binding>, ExecError> {
+    if !tel.is_enabled() {
+        return search(atoms, db, seed, gov, threads);
+    }
+    let mut span = Span::enter(tel, "eval.homomorphisms", "");
+    let steps_before = gov.steps_consumed();
+    let result = search(atoms, db, seed, gov, threads);
+    let probes = gov.steps_consumed() - steps_before;
+    span.field("atoms", atoms.len() as u64);
+    match &result {
+        Ok(out) => {
+            let found = out.len() as u64;
+            let pruned = probes.saturating_sub(found);
+            if let Some(m) = tel.metrics() {
+                m.add(Counter::HomFound, found);
+                m.add(Counter::HomPruned, pruned);
+            }
+            span.field("found", found);
+            span.field("pruned", pruned);
+        }
+        Err(e) => span.field("error", e.to_string()),
+    }
+    span.finish();
+    result
+}
+
+/// The planned search behind [`find_homomorphisms`], untraced.
+fn search(
+    atoms: &[Atom],
+    db: &Database,
+    seed: &Binding,
+    gov: &mut Governor,
+    threads: usize,
 ) -> Result<Vec<Binding>, ExecError> {
     gov.check_now()?;
     let mut table = VarTable::new();
@@ -128,11 +154,12 @@ pub fn find_homomorphisms_governed(
     let prebound: Vec<usize> = seed_slots.iter().map(|(s, _)| *s).collect();
     let plan = CqPlan::compile(atoms, &mut table, db, &prebound);
     let mut scratch = vec![None; table.len()];
-    for (s, v) in &seed_slots {
-        scratch[*s] = Some(v.clone());
+    for (s, v) in seed_slots {
+        scratch[s] = Some(v);
     }
     let mut matches = Vec::new();
-    plan.execute_governed(db, &mut scratch, &ExecOptions::default(), gov, &mut matches)?;
+    let opts = ExecOptions::default();
+    plan.execute_parallel(db, &mut scratch, &opts, threads, gov, &mut matches)?;
     Ok(matches
         .into_iter()
         .map(|m| {
@@ -143,140 +170,13 @@ pub fn find_homomorphisms_governed(
                 .collect()
         })
         .collect())
-}
-
-/// [`find_homomorphisms_governed`] through the cost-based planner:
-/// compiles with [`CqPlan::compile_costed`] (selectivity-estimated join
-/// order from relation statistics) instead of the greedy heuristic, then
-/// sorts the matches by their canonical position vectors so results —
-/// including their order — are still identical to
-/// [`find_homomorphisms_naive`]. This is the planner's differential
-/// entry point: same contract, different (hopefully cheaper) walk.
-pub fn find_homomorphisms_costed(
-    atoms: &[Atom],
-    db: &Database,
-    seed: &Binding,
-    gov: &mut Governor,
-) -> Result<Vec<Binding>, ExecError> {
-    gov.check_now()?;
-    let mut table = VarTable::new();
-    let seed_slots: Vec<(usize, Value)> =
-        seed.iter().map(|(k, v)| (table.intern(k), v.clone())).collect();
-    let prebound: Vec<usize> = seed_slots.iter().map(|(s, _)| *s).collect();
-    let plan = CqPlan::compile_costed(atoms, &mut table, db, &prebound);
-    let mut scratch = vec![None; table.len()];
-    for (s, v) in &seed_slots {
-        scratch[*s] = Some(v.clone());
-    }
-    let mut matches = Vec::new();
-    plan.execute_governed(db, &mut scratch, &ExecOptions::default(), gov, &mut matches)?;
-    // positions are emitted in canonical order; sorting recovers the
-    // naive enumeration sequence under any walk order (skipped when the
-    // chosen order already is the canonical one)
-    if plan.is_reordered() {
-        matches.sort_by(|a, b| a.positions.cmp(&b.positions));
-    }
-    Ok(matches
-        .into_iter()
-        .map(|m| {
-            m.binding
-                .into_iter()
-                .enumerate()
-                .filter_map(|(s, v)| Some((table.name(s)?.to_string(), v?)))
-                .collect()
-        })
-        .collect())
-}
-
-/// [`find_homomorphisms_governed`] with the driver atom's tuple range
-/// split across up to `threads` workers
-/// ([`CqPlan::execute_parallel`]). Results — including their order —
-/// are identical to the sequential path; `threads <= 1` or a small
-/// driver relation degrade to it outright. Returns the bindings plus
-/// the pool statistics (workers, steals, tasks) for telemetry.
-pub fn find_homomorphisms_parallel(
-    atoms: &[Atom],
-    db: &Database,
-    seed: &Binding,
-    threads: usize,
-    gov: &mut Governor,
-) -> Result<(Vec<Binding>, mm_parallel::PoolRun), ExecError> {
-    gov.check_now()?;
-    let mut table = VarTable::new();
-    let seed_slots: Vec<(usize, Value)> =
-        seed.iter().map(|(k, v)| (table.intern(k), v.clone())).collect();
-    let prebound: Vec<usize> = seed_slots.iter().map(|(s, _)| *s).collect();
-    let plan = CqPlan::compile(atoms, &mut table, db, &prebound);
-    let mut scratch = vec![None; table.len()];
-    for (s, v) in &seed_slots {
-        scratch[*s] = Some(v.clone());
-    }
-    let mut matches = Vec::new();
-    let run = plan.execute_parallel(
-        db,
-        &mut scratch,
-        &ExecOptions::default(),
-        threads,
-        gov,
-        &mut matches,
-    )?;
-    let bindings = matches
-        .into_iter()
-        .map(|m| {
-            m.binding
-                .into_iter()
-                .enumerate()
-                .filter_map(|(s, v)| Some((table.name(s)?.to_string(), v?)))
-                .collect()
-        })
-        .collect();
-    Ok((bindings, run))
-}
-
-/// [`find_homomorphisms_governed`] with telemetry: wraps the search in
-/// an `eval.homomorphisms` span and feeds the found/pruned counters
-/// (probes that bound a full match vs. probes the join rejected). With
-/// disabled telemetry this is exactly the governed call — one branch.
-pub fn find_homomorphisms_traced(
-    atoms: &[Atom],
-    db: &Database,
-    seed: &Binding,
-    gov: &mut Governor,
-    tel: &mm_telemetry::Telemetry,
-) -> Result<Vec<Binding>, ExecError> {
-    if !tel.is_enabled() {
-        return find_homomorphisms_governed(atoms, db, seed, gov);
-    }
-    let mut span = mm_telemetry::Span::enter(tel, "eval.homomorphisms", "");
-    let steps_before = gov.steps_consumed();
-    let result = find_homomorphisms_governed(atoms, db, seed, gov);
-    let probes = gov.steps_consumed() - steps_before;
-    match &result {
-        Ok(out) => {
-            let found = out.len() as u64;
-            let pruned = probes.saturating_sub(found);
-            if let Some(m) = tel.metrics() {
-                m.add(mm_telemetry::Counter::HomFound, found);
-                m.add(mm_telemetry::Counter::HomPruned, pruned);
-            }
-            span.field("atoms", atoms.len() as u64);
-            span.field("found", found);
-            span.field("pruned", pruned);
-        }
-        Err(e) => {
-            span.field("atoms", atoms.len() as u64);
-            span.field("error", e.to_string());
-        }
-    }
-    span.finish();
-    result
 }
 
 /// The naive nested-loop evaluator: scans every relation per atom and
 /// clones a string-keyed binding per probe. Kept as the reference oracle
 /// the compiled-plan path is property-tested against (and as the scan
 /// baseline in the eval bench); new code should call
-/// [`find_homomorphisms_governed`].
+/// [`find_homomorphisms`].
 pub fn find_homomorphisms_naive(
     atoms: &[Atom],
     db: &Database,
@@ -347,7 +247,13 @@ mod tests {
     use super::*;
     use mm_expr::Lit;
     use mm_instance::RelSchema;
+    use mm_guard::ExecBudget;
     use mm_metamodel::DataType;
+
+    fn homs(atoms: &[Atom], db: &Database) -> Vec<Binding> {
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        find_homomorphisms(atoms, db, &Binding::new(), &mut gov, 1, &Telemetry::disabled()).unwrap()
+    }
 
     fn db() -> Database {
         let mut db = Database::new("D");
@@ -364,14 +270,14 @@ mod tests {
 
     #[test]
     fn single_atom_binds_all_tuples() {
-        let hs = find_homomorphisms(&[Atom::vars("E", &["x", "y"])], &db());
+        let hs = homs(&[Atom::vars("E", &["x", "y"])], &db());
         assert_eq!(hs.len(), 3);
     }
 
     #[test]
     fn join_via_shared_variable() {
         // E(x,y) & E(y,z): paths of length 2
-        let hs = find_homomorphisms(
+        let hs = homs(
             &[Atom::vars("E", &["x", "y"]), Atom::vars("E", &["y", "z"])],
             &db(),
         );
@@ -386,7 +292,7 @@ mod tests {
     #[test]
     fn repeated_variable_forces_equality() {
         // E(x,x): no loops in this graph
-        let hs = find_homomorphisms(&[Atom::vars("E", &["x", "x"])], &db());
+        let hs = homs(&[Atom::vars("E", &["x", "x"])], &db());
         assert!(hs.is_empty());
     }
 
@@ -396,27 +302,27 @@ mod tests {
             "E",
             vec![Term::Const(Lit::Int(2)), Term::var("y")],
         );
-        let hs = find_homomorphisms(&[atom], &db());
+        let hs = homs(&[atom], &db());
         assert_eq!(hs.len(), 1);
         assert_eq!(hs[0]["y"], Value::Int(3));
     }
 
     #[test]
     fn missing_relation_yields_no_bindings() {
-        let hs = find_homomorphisms(&[Atom::vars("Nope", &["x"])], &db());
+        let hs = homs(&[Atom::vars("Nope", &["x"])], &db());
         assert!(hs.is_empty());
     }
 
     #[test]
     fn empty_query_has_one_empty_binding() {
-        let hs = find_homomorphisms(&[], &db());
+        let hs = homs(&[], &db());
         assert_eq!(hs.len(), 1);
         assert!(hs[0].is_empty());
     }
 
     #[test]
     fn arity_mismatch_never_matches() {
-        let hs = find_homomorphisms(&[Atom::vars("E", &["x"])], &db());
+        let hs = homs(&[Atom::vars("E", &["x"])], &db());
         assert!(hs.is_empty());
     }
 
@@ -458,7 +364,8 @@ mod tests {
             let mut g1 = Governor::new(&ExecBudget::unbounded());
             let mut g2 = Governor::new(&ExecBudget::unbounded());
             let seed = Binding::from([("w".to_string(), Value::Int(7))]);
-            let fast = find_homomorphisms_governed(&atoms, &db, &seed, &mut g1).unwrap();
+            let fast =
+                find_homomorphisms(&atoms, &db, &seed, &mut g1, 1, &Telemetry::disabled()).unwrap();
             let slow = find_homomorphisms_naive(&atoms, &db, &seed, &mut g2).unwrap();
             assert_eq!(fast, slow, "atoms: {atoms:?}");
         }
@@ -474,7 +381,7 @@ mod tests {
         r.insert(Tuple::from([Value::Int(1), Value::Labeled(7)]));
         r.insert(Tuple::from([Value::Labeled(7), Value::Int(9)]));
         db.insert_relation("E", r);
-        let hs = find_homomorphisms(
+        let hs = homs(
             &[Atom::vars("E", &["x", "y"]), Atom::vars("E", &["y", "z"])],
             &db,
         );

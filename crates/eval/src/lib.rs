@@ -15,10 +15,7 @@ pub mod engine;
 pub mod plan;
 pub mod view;
 
-pub use cq::{
-    find_homomorphisms, find_homomorphisms_costed, find_homomorphisms_governed,
-    find_homomorphisms_naive, find_homomorphisms_parallel, find_homomorphisms_traced, Binding,
-};
+pub use cq::{find_homomorphisms, find_homomorphisms_naive, Binding};
 pub use plan::{
     AtomExplain, AtomRange, CqPlan, ExecOptions, PlanExplain, PlanMatch, SlotTerm, VarTable,
     DP_MAX_ATOMS,

@@ -313,12 +313,6 @@ impl CqPlan {
         self.canon.is_some()
     }
 
-    /// Number of slots the compiling table had seen when this plan was
-    /// built; execution scratch must be at least this long.
-    pub fn num_slots(&self) -> usize {
-        self.num_slots
-    }
-
     pub fn atoms(&self) -> &[AtomPlan] {
         &self.atoms
     }
@@ -328,24 +322,11 @@ impl CqPlan {
         &self.source
     }
 
-    /// Estimated cumulative match cardinality after each plan atom (plan
-    /// order). Empty unless this plan was compiled by
-    /// [`CqPlan::compile_costed`].
-    pub fn estimates(&self) -> &[f64] {
-        &self.estimates
-    }
-
     /// Whether this plan was compiled by [`CqPlan::compile_costed`]
     /// (carries cardinality estimates; positions are emitted in
     /// canonical order).
     pub fn is_costed(&self) -> bool {
         !self.estimates.is_empty()
-    }
-
-    /// Estimated total number of matches this plan produces (the last
-    /// cumulative estimate), if compiled with cost estimates.
-    pub fn estimated_matches(&self) -> Option<f64> {
-        self.estimates.last().copied()
     }
 
     /// Describe this plan against `db`: the chosen join order, and per

@@ -40,6 +40,7 @@ use crate::protocol::{
     ERR_BAD_VERSION, ERR_DEADLINE_EXCEEDED, ERR_FRAME_TOO_LARGE, ERR_OVERLOADED,
     ERR_QUEUE_FULL, ERR_SCRIPT, ERR_SHUTTING_DOWN,
 };
+use mm_chase::{ChaseExplain, Run};
 use mm_engine::{run_script, Engine, EngineError};
 use mm_guard::{ExecBudget, ExecError, Governor, SharedMeter};
 use mm_instance::Database;
@@ -754,12 +755,14 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 /// What a slow request needs for a post-hoc plan EXPLAIN: the mapping
 /// name and source instance, *moved* (never cloned) out of
-/// exchange-shaped requests after execution borrowed them. The plan
-/// explain runs only for requests that actually keep a slow-log entry,
-/// after the reply bytes are on the wire — the fast path pays nothing.
+/// exchange-shaped requests after execution borrowed them, plus the
+/// thread count the request's chase ran at. The plan explain runs only
+/// for requests that actually keep a slow-log entry, after the reply
+/// bytes are on the wire — the fast path pays nothing.
 struct ExplainCtx {
     mapping: String,
     source_db: Database,
+    threads: usize,
 }
 
 /// Did the success body record a degradation the flight recorder should
@@ -868,7 +871,9 @@ fn process(shared: &Arc<Shared>, job: &Job) {
     let detail = shared.flight.qualifies(&summary).then(|| {
         let events = scope.take_captured();
         let explain = explain_ctx
-            .and_then(|ctx| shared.engine.plan_explain(&ctx.mapping, &ctx.source_db).ok());
+            .and_then(|ctx| {
+                shared.engine.plan_explain(&ctx.mapping, &ctx.source_db, ctx.threads).ok()
+            });
         (events, explain)
     });
     shared.flight.record(summary, detail);
@@ -897,19 +902,23 @@ fn execute(
                 .map_err(|e: ExecError| (protocol::exec_error_code(&e), e.to_string()));
             (r, None)
         }
+        // Wire exchanges chase at one thread under the request's
+        // governor: the server's workers are the parallelism.
         Request::Exchange { mapping, target_schema, source_db } => {
+            let run = Run { tel: engine.telemetry(), ..Run::new(gov) };
             let r = engine
-                .exchange_governed(&mapping, &target_schema, &source_db, gov)
+                .exchange_with(&mapping, &target_schema, &source_db, run)
                 .map(|(db, stats)| OkBody::Exchange { db, stats: WireStats::from(stats) })
                 .map_err(engine_err);
-            (r, Some(ExplainCtx { mapping, source_db }))
+            (r, Some(ExplainCtx { mapping, source_db, threads: 1 }))
         }
         Request::ExchangeBatch { items } => {
             let slots = items
                 .iter()
                 .map(|(mapping, target, db)| {
+                    let run = Run { tel: engine.telemetry(), ..Run::new(gov) };
                     engine
-                        .exchange_governed(mapping, target, db, gov)
+                        .exchange_with(mapping, target, db, run)
                         .map(|(db, stats)| (db, WireStats::from(stats)))
                         .map_err(engine_err)
                 })
@@ -919,7 +928,7 @@ fn execute(
             let ctx = items
                 .into_iter()
                 .next()
-                .map(|(mapping, _, source_db)| ExplainCtx { mapping, source_db });
+                .map(|(mapping, _, source_db)| ExplainCtx { mapping, source_db, threads: 1 });
             (Ok(OkBody::Batch { slots }), ctx)
         }
         Request::Mediate { base_schema, chain, query, base_db } => {
@@ -935,17 +944,27 @@ fn execute(
         }
         Request::ExplainExchange { mapping, target_schema, source_db } => {
             // The explain path runs under the engine's configured budget
-            // (reports are for operators, not tenants); the deadline is
-            // still honored at the boundary by the pre-execution check.
+            // and thread count (reports are for operators, not tenants);
+            // the deadline is still honored at the boundary by the
+            // pre-execution check.
+            let threads = engine.config.threads;
+            let mut own = Governor::new(&engine.config.budget);
+            let mut explain = ChaseExplain::default();
+            let run = Run {
+                threads,
+                tel: engine.telemetry(),
+                explain: Some(&mut explain),
+                ..Run::new(&mut own)
+            };
             let r = engine
-                .explain_exchange(&mapping, &target_schema, &source_db)
-                .map(|(db, stats, explain)| OkBody::Explain {
+                .exchange_with(&mapping, &target_schema, &source_db, run)
+                .map(|(db, stats)| OkBody::Explain {
                     db,
                     stats: WireStats::from(stats),
                     text: explain.to_string(),
                 })
                 .map_err(engine_err);
-            (r, Some(ExplainCtx { mapping, source_db }))
+            (r, Some(ExplainCtx { mapping, source_db, threads }))
         }
         Request::Script { text } => {
             let r = run_script(engine, &text)

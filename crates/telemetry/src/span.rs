@@ -293,7 +293,7 @@ impl std::fmt::Debug for Telemetry {
 
 impl Telemetry {
     /// The disabled handle (same as `Default`).
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Telemetry { inner: None }
     }
 

@@ -86,7 +86,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Tuple::from([Value::Int(aid), Value::text(city), Value::text(zip)]),
         );
     }
-    let (mut staff_db, stats) = chase_st(&warehouse, &tgds, &ops_db);
+    let program = ChaseProgram::compile(&tgds, &ops_db);
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let (mut staff_db, stats) =
+        chase_st(&warehouse, &program, &ops_db, Run::new(&mut gov))?;
     println!("== Chase: {stats:?} ==");
     println!("Staff rows: {}", staff_db.relation("Staff").expect("chased").len());
 

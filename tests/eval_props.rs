@@ -17,12 +17,14 @@
 //!   naive reference.
 
 use mm_chase::{
-    chase_general_adaptive, chase_general_governed, chase_general_reference, chase_st_governed,
-    chase_st_prepared, chase_st_reference, egds_from_keys, ChaseOutcome, ChaseProgram,
+    chase_general, chase_general_reference, chase_st, chase_st_reference, egds_from_keys,
+    ChaseExplain, ChaseFailure, ChaseOutcome, ChaseProgram, ChaseStats, Egd, Run,
 };
-use mm_eval::{find_homomorphisms_costed, find_homomorphisms_governed, find_homomorphisms_naive, Binding};
+use mm_eval::{
+    find_homomorphisms, find_homomorphisms_naive, Binding, CqPlan, ExecOptions, PlanMatch, VarTable,
+};
 use mm_expr::{Atom, Lit, Term, Tgd};
-use mm_guard::{ExecBudget, Governor};
+use mm_guard::{ExecBudget, ExecError, Governor};
 use mm_instance::{Database, Tuple, Value};
 use mm_metamodel::{DataType, Schema, SchemaBuilder};
 use mm_telemetry::Telemetry;
@@ -85,20 +87,84 @@ fn unbounded() -> ExecBudget {
     ExecBudget::unbounded()
 }
 
+/// The s-t chase of `tgds` (greedy plan), sequential and untraced.
+fn st(
+    tgt: &Schema,
+    tgds: &[Tgd],
+    db: &Database,
+    budget: &ExecBudget,
+) -> Result<(Database, ChaseStats), ChaseFailure> {
+    let program = ChaseProgram::compile(tgds, db);
+    chase_st(tgt, &program, db, Run::new(&mut Governor::new(budget)))
+}
+
+/// The general chase of `tgds` (greedy plan) in place, sequential and
+/// untraced.
+fn general(
+    db: &mut Database,
+    tgds: &[Tgd],
+    egds: &[Egd],
+    budget: &ExecBudget,
+) -> Result<ChaseOutcome, ChaseFailure> {
+    let program = ChaseProgram::compile(tgds, db);
+    chase_general(db, &program, egds, Run::new(&mut Governor::new(budget)))
+}
+
+/// The planned search at every thread count and with telemetry off and
+/// on, each run checked against `expect`.
+fn every_search_matches(
+    atoms: &[Atom],
+    db: &Database,
+    seed: &Binding,
+    expect: &[Binding],
+) {
+    let on = Telemetry::new(mm_telemetry::RingCollector::with_capacity(16));
+    for threads in [1, 2, 4] {
+        for tel in [&Telemetry::disabled(), &on] {
+            let mut gov = Governor::new(&unbounded());
+            let got = find_homomorphisms(atoms, db, seed, &mut gov, threads, tel).unwrap();
+            assert_eq!(got, expect, "threads={threads} traced={}", tel.is_enabled());
+        }
+    }
+}
+
+/// The CQ search through the cost-based planner: the statistics-ordered
+/// walk of [`CqPlan::compile_costed`], its matches sorted back into the
+/// canonical order by their position vectors.
+fn costed_homs(atoms: &[Atom], db: &Database, seed: &Binding) -> Result<Vec<Binding>, ExecError> {
+    let mut table = VarTable::new();
+    let seeded: Vec<(usize, Value)> =
+        seed.iter().map(|(k, v)| (table.intern(k), v.clone())).collect();
+    let prebound: Vec<usize> = seeded.iter().map(|(s, _)| *s).collect();
+    let plan = CqPlan::compile_costed(atoms, &mut table, db, &prebound);
+    let mut scratch = vec![None; table.len()];
+    for (s, v) in seeded {
+        scratch[s] = Some(v);
+    }
+    let mut matches = Vec::new();
+    let mut gov = Governor::new(&unbounded());
+    plan.execute_governed(db, &mut scratch, &ExecOptions::default(), &mut gov, &mut matches)?;
+    if plan.is_reordered() {
+        matches.sort_by(|a, b| a.positions.cmp(&b.positions));
+    }
+    let name = |s: usize| table.name(s).map(str::to_string);
+    let binding =
+        |m: PlanMatch| m.binding.into_iter().enumerate().filter_map(|(s, v)| Some((name(s)?, v?)));
+    Ok(matches.into_iter().map(|m| binding(m).collect()).collect())
+}
+
 // --- (a) indexed CQ evaluation == naive scan --------------------------------
 
 proptest! {
     /// The compiled, index-probing homomorphism search returns exactly
     /// the naive nested-loop binding sequence — same bindings, same
-    /// order — on random databases and queries.
+    /// order — on random databases and queries, at every thread count,
+    /// traced or not.
     #[test]
     fn indexed_cq_matches_naive_scan(db in arb_db(), atoms in arb_cq()) {
-        let budget = unbounded();
         let seed = Binding::new();
-        let indexed =
-            find_homomorphisms_governed(&atoms, &db, &seed, &mut Governor::new(&budget));
-        let naive = find_homomorphisms_naive(&atoms, &db, &seed, &mut Governor::new(&budget));
-        prop_assert_eq!(indexed.unwrap(), naive.unwrap());
+        let naive = find_homomorphisms_naive(&atoms, &db, &seed, &mut Governor::new(&unbounded()));
+        every_search_matches(&atoms, &db, &seed, &naive.unwrap());
     }
 
     /// Same equivalence with a pre-bound seed variable (the chase's
@@ -110,13 +176,10 @@ proptest! {
         atoms in arb_cq(),
         seed_val in 0i64..6,
     ) {
-        let budget = unbounded();
         let mut seed = Binding::new();
         seed.insert("x".to_string(), Value::Int(seed_val));
-        let indexed =
-            find_homomorphisms_governed(&atoms, &db, &seed, &mut Governor::new(&budget));
-        let naive = find_homomorphisms_naive(&atoms, &db, &seed, &mut Governor::new(&budget));
-        prop_assert_eq!(indexed.unwrap(), naive.unwrap());
+        let naive = find_homomorphisms_naive(&atoms, &db, &seed, &mut Governor::new(&unbounded()));
+        every_search_matches(&atoms, &db, &seed, &naive.unwrap());
     }
 }
 
@@ -133,7 +196,7 @@ proptest! {
         let (_, db, tgds) = faults::terminating_chain(n);
         let budget = unbounded().with_rounds(64);
         let mut fast_db = db.clone();
-        let fast = chase_general_governed(&mut fast_db, &tgds, &[], &budget).unwrap();
+        let fast = general(&mut fast_db, &tgds, &[], &budget).unwrap();
         let mut ref_db = db;
         let reference = chase_general_reference(&mut ref_db, &tgds, &[], &budget).unwrap();
         prop_assert_eq!(fast, reference);
@@ -147,7 +210,7 @@ proptest! {
     fn indexed_st_chase_matches_reference_on_quadratic_join(rows in 3usize..24) {
         let (_, tgt, db, tgds) = faults::quadratic_join(rows);
         let budget = unbounded();
-        let (fast_db, fast_stats) = chase_st_governed(&tgt, &tgds, &db, &budget).unwrap();
+        let (fast_db, fast_stats) = st(&tgt, &tgds, &db, &budget).unwrap();
         let (ref_db, ref_stats) = chase_st_reference(&tgt, &tgds, &db, &budget).unwrap();
         prop_assert_eq!(fast_stats, ref_stats);
         prop_assert_eq!(fast_db, ref_db);
@@ -170,7 +233,7 @@ proptest! {
             Tgd::new(vec![Atom::vars("R0", &["x", "y"])], vec![Atom::vars("C1", &["x", "u"])]),
         ];
         let budget = unbounded();
-        let (fast_db, fast_stats) = chase_st_governed(&tgt, &tgds, &db, &budget).unwrap();
+        let (fast_db, fast_stats) = st(&tgt, &tgds, &db, &budget).unwrap();
         let (ref_db, ref_stats) = chase_st_reference(&tgt, &tgds, &db, &budget).unwrap();
         prop_assert_eq!(fast_stats, ref_stats);
         prop_assert_eq!(fast_db, ref_db);
@@ -206,7 +269,7 @@ proptest! {
         let egds = egds_from_keys(&tgt);
         let budget = unbounded().with_rounds(64);
         let mut fast_db = db.clone();
-        let fast = chase_general_governed(&mut fast_db, &tgds, &egds, &budget).unwrap();
+        let fast = general(&mut fast_db, &tgds, &egds, &budget).unwrap();
         let mut ref_db = db;
         let reference = chase_general_reference(&mut ref_db, &tgds, &egds, &budget).unwrap();
         prop_assert!(matches!(fast, ChaseOutcome::Done(_)), "{fast:?}");
@@ -226,7 +289,7 @@ proptest! {
     fn costed_cq_matches_naive_scan(db in arb_db(), atoms in arb_cq()) {
         let budget = unbounded();
         let seed = Binding::new();
-        let costed = find_homomorphisms_costed(&atoms, &db, &seed, &mut Governor::new(&budget));
+        let costed = costed_homs(&atoms, &db, &seed);
         let naive = find_homomorphisms_naive(&atoms, &db, &seed, &mut Governor::new(&budget));
         prop_assert_eq!(costed.unwrap(), naive.unwrap());
     }
@@ -243,7 +306,7 @@ proptest! {
         let budget = unbounded();
         let mut seed = Binding::new();
         seed.insert("x".to_string(), Value::Int(seed_val));
-        let costed = find_homomorphisms_costed(&atoms, &db, &seed, &mut Governor::new(&budget));
+        let costed = costed_homs(&atoms, &db, &seed);
         let naive = find_homomorphisms_naive(&atoms, &db, &seed, &mut Governor::new(&budget));
         prop_assert_eq!(costed.unwrap(), naive.unwrap());
     }
@@ -269,7 +332,7 @@ proptest! {
         };
         let budget = unbounded();
         let empty = Binding::new();
-        let costed = find_homomorphisms_costed(&atoms, &db, &empty, &mut Governor::new(&budget));
+        let costed = costed_homs(&atoms, &db, &empty);
         let naive = find_homomorphisms_naive(&atoms, &db, &empty, &mut Governor::new(&budget));
         prop_assert_eq!(costed.unwrap(), naive.unwrap());
     }
@@ -294,7 +357,8 @@ proptest! {
         let tgds = vec![Tgd::new(atoms, vec![Atom::vars("Out", &["x", "y", "u"])])];
         let budget = unbounded();
         let program = ChaseProgram::compile_costed(&tgds, &db);
-        let (fast_db, fast_stats) = chase_st_prepared(&tgt, &program, &db, &budget).unwrap();
+        let (fast_db, fast_stats) =
+            chase_st(&tgt, &program, &db, Run::new(&mut Governor::new(&budget))).unwrap();
         let (ref_db, ref_stats) = chase_st_reference(&tgt, &tgds, &db, &budget).unwrap();
         prop_assert_eq!(fast_stats, ref_stats);
         prop_assert_eq!(fast_db, ref_db);
@@ -311,16 +375,11 @@ proptest! {
         let budget = unbounded().with_rounds(64);
         let mut fast_db = db.clone();
         let program = ChaseProgram::compile_costed(&tgds, &fast_db);
-        let (fast, replans) = chase_general_adaptive(
-            &mut fast_db,
-            &program,
-            &[],
-            &budget,
-            1,
-            &Telemetry::disabled(),
-            1.5,
-        )
-        .unwrap();
+        let mut gov = Governor::new(&budget);
+        let mut explain = ChaseExplain::default();
+        let run = Run { explain: Some(&mut explain), replan: Some(1.5), ..Run::new(&mut gov) };
+        let fast = chase_general(&mut fast_db, &program, &[], run).unwrap();
+        let replans = explain.replans;
         let mut ref_db = db;
         let reference = chase_general_reference(&mut ref_db, &tgds, &[], &budget).unwrap();
         prop_assert!(replans > 0, "chain growth from empty must trigger a re-plan");

@@ -22,7 +22,7 @@ fn divergent_chase_trips_diverged() {
     let engine = Engine::with_config(EngineConfig { chase_max_rounds: 16, ..Default::default() }).unwrap();
     engine.add_schema(schema).unwrap();
     store_tgd_mapping(&engine, "loop", "Loop", "Loop", tgds);
-    let err = engine.chase_general("loop", "Loop", &db).unwrap_err();
+    let err = engine.chase_general("loop", "Loop", &db, None).unwrap_err();
     match err {
         EngineError::Exec(ExecError::Diverged { rounds }) => assert_eq!(rounds, 16),
         other => panic!("expected Diverged, got {other:?}"),
@@ -43,7 +43,7 @@ fn divergent_chase_respects_wall_clock() {
     engine.add_schema(schema).unwrap();
     store_tgd_mapping(&engine, "loop", "Loop", "Loop", tgds);
     let started = std::time::Instant::now();
-    let err = engine.chase_general("loop", "Loop", &db).unwrap_err();
+    let err = engine.chase_general("loop", "Loop", &db, None).unwrap_err();
     assert!(started.elapsed() < std::time::Duration::from_secs(10), "ran unbounded");
     assert!(
         matches!(err, EngineError::Exec(ExecError::BudgetExhausted { .. })),
@@ -59,7 +59,7 @@ fn terminating_chain_completes_under_budget() {
     let engine = Engine::new();
     engine.add_schema(schema).unwrap();
     store_tgd_mapping(&engine, "chain", "Chain", "Chain", tgds);
-    let (out, outcome) = engine.chase_general("chain", "Chain", &db).unwrap();
+    let (out, outcome) = engine.chase_general("chain", "Chain", &db, None).unwrap();
     assert!(matches!(outcome, ChaseOutcome::Done(_)));
     assert_eq!(out.relation("R4").unwrap().len(), 1);
 }
@@ -78,7 +78,7 @@ fn cancellation_stops_divergent_chase() {
     .unwrap();
     engine.add_schema(schema).unwrap();
     store_tgd_mapping(&engine, "loop", "Loop", "Loop", tgds);
-    let err = engine.chase_general("loop", "Loop", &db).unwrap_err();
+    let err = engine.chase_general("loop", "Loop", &db, None).unwrap_err();
     assert!(matches!(err, EngineError::Exec(ExecError::Cancelled { .. })), "{err:?}");
 }
 
@@ -113,8 +113,8 @@ fn exchange_respects_row_budget() {
     );
 }
 
-/// Under the default (permissive) config the governed exchange agrees
-/// with the legacy ungoverned chase.
+/// Under the default (permissive) config the engine's exchange agrees
+/// with a direct unbounded `chase_st` of the same tgds.
 #[test]
 fn governed_exchange_matches_legacy_chase() {
     let (src, db) = faults::oversized_instance(50);
@@ -128,9 +128,11 @@ fn governed_exchange_matches_legacy_chase() {
     engine.add_schema(tgt.clone()).unwrap();
     store_tgd_mapping(&engine, "copy", "Big", "TgtBig", tgds.clone());
     let (governed, stats) = engine.exchange("copy", "TgtBig", &db).unwrap();
-    let (legacy, legacy_stats) = chase_st(&tgt, &tgds, &db);
-    assert!(governed.relation("T0").unwrap().set_eq(legacy.relation("T0").unwrap()));
-    assert_eq!(stats.fired, legacy_stats.fired);
+    let program = ChaseProgram::compile(&tgds, &db);
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let (direct, direct_stats) = chase_st(&tgt, &program, &db, Run::new(&mut gov)).unwrap();
+    assert!(governed.relation("T0").unwrap().set_eq(direct.relation("T0").unwrap()));
+    assert_eq!(stats.fired, direct_stats.fired);
 }
 
 /// Exponential SO-tgd composition trips the engine's clause bound with a
@@ -203,7 +205,8 @@ fn malformed_sotgd_yields_typed_error() {
 fn eval_and_hom_search_respect_budgets() {
     let (src, tgt, db, tgds) = faults::quadratic_join(60);
     let tight = ExecBudget::unbounded().with_steps(200);
-    let err = chase_st_governed(&tgt, &tgds, &db, &tight).unwrap_err();
+    let program = ChaseProgram::compile(&tgds, &db);
+    let err = chase_st(&tgt, &program, &db, Run::new(&mut Governor::new(&tight))).unwrap_err();
     assert!(err.error.is_resource(), "{err}");
     assert!(err.stats.rounds <= 1);
 
@@ -310,7 +313,7 @@ fn engine_operator_surface_is_total() {
     // missing artifacts: typed repository errors
     assert!(matches!(engine.exchange("nope", "nope", &Database::new("x")),
         Err(EngineError::Repository(_))));
-    assert!(matches!(engine.chase_general("nope", "nope", &Database::new("x")),
+    assert!(matches!(engine.chase_general("nope", "nope", &Database::new("x"), None),
         Err(EngineError::Repository(_))));
     assert!(matches!(engine.compose("nope", "nope", "out"), Err(EngineError::Repository(_))));
     assert!(matches!(engine.compose_tgd_mappings("nope", "nope", "out"),
@@ -332,7 +335,7 @@ fn engine_operator_surface_is_total() {
     let (schema, db, tgds) = faults::divergent_tgds();
     engine.add_schema(schema).unwrap();
     store_tgd_mapping(&engine, "loop", "Loop", "Loop", tgds);
-    assert!(matches!(engine.chase_general("loop", "Loop", &db),
+    assert!(matches!(engine.chase_general("loop", "Loop", &db, None),
         Err(EngineError::Exec(_))));
 
     let (_, _, _, m12, m23) = faults::exponential_compose(4, 4);

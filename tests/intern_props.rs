@@ -178,16 +178,20 @@ fn observe(w: &TextWorkload) -> Observation {
     let tgds = workload_tgds();
     let program = ChaseProgram::compile(&tgds, &db);
     let budget = ExecBudget::unbounded();
-    let (chased, stats, explain) = chase_st_explained(
-        &target_schema(),
-        &program,
-        &db,
-        &budget,
+    let mut gov = Governor::new(&budget);
+    let mut explain = ChaseExplain::default();
+    let run = Run { explain: Some(&mut explain), ..Run::new(&mut gov) };
+    let (chased, stats) = chase_st(&target_schema(), &program, &db, run)
+        .expect("unbounded chase on a bounded workload");
+    let homs = find_homomorphisms(
+        &query_atoms(),
+        &chased,
+        &Binding::new(),
+        &mut Governor::new(&budget),
         1,
         &Telemetry::disabled(),
     )
-    .expect("unbounded chase on a bounded workload");
-    let homs = find_homomorphisms(&query_atoms(), &chased);
+    .expect("unbounded search");
     Observation {
         source: db_bytes(&db),
         chased: db_bytes(&chased),

@@ -24,6 +24,29 @@ use proptest::prelude::*;
 /// agree with `threads = 1`; 8 oversubscribes the container on purpose.
 const THREADS: [usize; 3] = [2, 4, 8];
 
+/// The s-t chase of `program` at `threads` workers under `budget`.
+fn st_at(
+    tgt: &Schema,
+    program: &ChaseProgram,
+    db: &Database,
+    budget: &ExecBudget,
+    threads: usize,
+) -> Result<(Database, ChaseStats), ChaseFailure> {
+    let mut gov = Governor::new(budget);
+    chase_st(tgt, program, db, Run { threads, ..Run::new(&mut gov) })
+}
+
+/// The general chase of `program` in place at `threads` workers.
+fn general_at(
+    db: &mut Database,
+    program: &ChaseProgram,
+    budget: &ExecBudget,
+    threads: usize,
+) -> Result<ChaseOutcome, ChaseFailure> {
+    let mut gov = Governor::new(budget);
+    chase_general(db, program, &[], Run { threads, ..Run::new(&mut gov) })
+}
+
 // --- generators -------------------------------------------------------------
 
 /// The fixed schema random databases and queries range over: two binary
@@ -81,19 +104,22 @@ proptest! {
 
     /// Chunking the driver atom across workers and merging in chunk
     /// order reproduces the sequential binding sequence exactly — same
-    /// bindings, same order — at every thread count.
+    /// bindings, same order — at every thread count, traced or not:
+    /// every combination is checked against the naive oracle.
     #[test]
     fn parallel_cq_matches_sequential_bindings(db in arb_db(), atoms in arb_cq()) {
         let budget = ExecBudget::unbounded();
         let seed = Binding::new();
-        let seq = find_homomorphisms_governed(&atoms, &db, &seed, &mut Governor::new(&budget))
+        let seq = find_homomorphisms_naive(&atoms, &db, &seed, &mut Governor::new(&budget))
             .expect("unbounded");
-        for threads in THREADS {
-            let (par, _run) = find_homomorphisms_parallel(
-                &atoms, &db, &seed, threads, &mut Governor::new(&budget),
-            )
-            .expect("unbounded");
-            prop_assert_eq!(&par, &seq, "threads={}", threads);
+        let on = Telemetry::new(RingCollector::with_capacity(16));
+        for threads in [1].into_iter().chain(THREADS) {
+            for tel in [&Telemetry::disabled(), &on] {
+                let mut gov = Governor::new(&budget);
+                let par = find_homomorphisms(&atoms, &db, &seed, &mut gov, threads, tel)
+                    .expect("unbounded");
+                prop_assert_eq!(&par, &seq, "threads={} traced={}", threads, tel.is_enabled());
+            }
         }
     }
 }
@@ -112,11 +138,10 @@ proptest! {
         let (_, tgt, db, tgds) = faults::quadratic_join(rows);
         let program = ChaseProgram::compile(&tgds, &db);
         let budget = ExecBudget::unbounded();
-        let (seq_db, seq_stats) =
-            chase_st_prepared(&tgt, &program, &db, &budget).expect("unbounded");
+        let (seq_db, seq_stats) = st_at(&tgt, &program, &db, &budget, 1).expect("unbounded");
         for threads in THREADS {
-            let (par_db, par_stats) = chase_st_parallel(&tgt, &program, &db, &budget, threads)
-                .expect("unbounded");
+            let (par_db, par_stats) =
+                st_at(&tgt, &program, &db, &budget, threads).expect("unbounded");
             prop_assert_eq!(&par_stats, &seq_stats, "threads={}", threads);
             prop_assert_eq!(&par_db, &seq_db, "threads={}", threads);
         }
@@ -131,11 +156,10 @@ proptest! {
         let program = ChaseProgram::compile(&tgds, &db);
         let budget = ExecBudget::unbounded().with_rounds(64);
         let mut seq_db = db.clone();
-        let seq = chase_general_prepared(&mut seq_db, &program, &[], &budget).expect("terminates");
+        let seq = general_at(&mut seq_db, &program, &budget, 1).expect("terminates");
         for threads in THREADS {
             let mut par_db = db.clone();
-            let par = chase_general_parallel(&mut par_db, &program, &[], &budget, threads)
-                .expect("terminates");
+            let par = general_at(&mut par_db, &program, &budget, threads).expect("terminates");
             prop_assert_eq!(&par, &seq, "threads={}", threads);
             prop_assert_eq!(&par_db, &seq_db, "threads={}", threads);
         }
@@ -218,7 +242,7 @@ fn cancellation_mid_parallel_chase_surfaces_cleanly() {
     let program = ChaseProgram::compile(&tgds, &db);
     for threads in [1, 2, 4, 8] {
         let budget = ExecBudget::unbounded().with_cancel(faults::cancel_after(2));
-        let failure = match chase_st_parallel(&tgt, &program, &db, &budget, threads) {
+        let failure = match st_at(&tgt, &program, &db, &budget, threads) {
             Err(f) => f,
             Ok(_) => panic!("cancel_after(2) must trip at threads={threads}"),
         };
@@ -240,14 +264,13 @@ fn step_budget_trips_inside_the_parallel_chase() {
     let program = ChaseProgram::compile(&tgds, &db);
     let solo_steps = {
         let mut gov = Governor::new(&ExecBudget::unbounded());
-        chase_st_prepared_governed(&tgt, &program, &db, &mut gov, 1, &Telemetry::disabled())
-            .expect("unbounded");
+        chase_st(&tgt, &program, &db, Run::new(&mut gov)).expect("unbounded");
         gov.steps_consumed()
     };
     assert!(solo_steps > 2048, "workload must span safepoints: {solo_steps}");
     for threads in [1, 2, 4, 8] {
         let budget = ExecBudget::unbounded().with_steps(solo_steps / 2);
-        let failure = match chase_st_parallel(&tgt, &program, &db, &budget, threads) {
+        let failure = match st_at(&tgt, &program, &db, &budget, threads) {
             Err(f) => f,
             Ok(_) => panic!("half the sequential step cost must trip at threads={threads}"),
         };

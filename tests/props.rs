@@ -4,6 +4,29 @@ use mm_repository::codec::{Decode, Encode, Reader, Writer};
 use model_management::prelude::*;
 use proptest::prelude::*;
 
+/// Unbounded, sequential, untraced s-t chase of `tgds` (greedy plan).
+fn st(target: &Schema, tgds: &[Tgd], db: &Database) -> (Database, ChaseStats) {
+    let program = ChaseProgram::compile(tgds, db);
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    chase_st(target, &program, db, Run::new(&mut gov)).expect("unbounded")
+}
+
+/// Sequential, untraced general chase of `tgds` (greedy plan) in place.
+fn general(
+    db: &mut Database,
+    tgds: &[Tgd],
+    budget: &ExecBudget,
+) -> Result<ChaseOutcome, ChaseFailure> {
+    let program = ChaseProgram::compile(tgds, db);
+    chase_general(db, &program, &[], Run::new(&mut Governor::new(budget)))
+}
+
+/// Unbounded, untraced SO-tgd composition.
+fn compose(m12: &[Tgd], m23: &[Tgd], bound: usize) -> Result<SoTgd, ComposeError> {
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    compose_st_tgds(m12, m23, bound, &mut gov, &Telemetry::disabled())
+}
+
 // --- generators -------------------------------------------------------------
 
 fn arb_lit() -> impl Strategy<Value = Lit> {
@@ -192,7 +215,7 @@ proptest! {
             vec![Atom::vars("U", &["x", "w"])],
         )];
         let db = db_from(&rows_r, &[]);
-        let (out, _) = chase_st(&tgt, &tgds, &db);
+        let (out, _) = st(&tgt, &tgds, &db);
         // satisfaction: every R row has a U witness
         for t in db.relation("R").expect("R").iter() {
             let a = t.values()[0].clone();
@@ -218,8 +241,8 @@ proptest! {
             }
         }
         merged.set_label_watermark(out.label_watermark());
-        let outcome = chase_general(&mut merged, &tgds, &[], 5);
-        prop_assert!(matches!(outcome, ChaseOutcome::Done(st) if st.fired == 0));
+        let outcome = general(&mut merged, &tgds, &ExecBudget::unbounded().with_rounds(5));
+        prop_assert!(matches!(outcome, Ok(ChaseOutcome::Done(st)) if st.fired == 0));
     }
 
     // --- composition agrees with transport on copy chains -------------------
@@ -234,8 +257,8 @@ proptest! {
             let rel = format!("S{}", i % 2);
             d1.insert(&rel, Tuple::from([Value::Int(*a), Value::Int(*b)]));
         }
-        let (chased, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1);
-        let so = compose_st_tgds(&m12, &m23, 1 << 12).expect("compose");
+        let (chased, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).expect("transport");
+        let so = compose(&m12, &m23, 1 << 12).expect("compose");
         let direct = apply_sotgd(&so, &d1, &s3).expect("apply");
         prop_assert!(hom_equivalent(&chased, &direct));
     }
@@ -251,14 +274,14 @@ proptest! {
         let s3 = binary_schema("S3", "C", 2);
         let m12 = copy_tgds("A", "B", 2);
         let m23 = copy_tgds("B", "C", 2);
-        let so = compose_st_tgds(&m12, &m23, 1 << 12).expect("compose");
+        let so = compose(&m12, &m23, 1 << 12).expect("compose");
         let tgds = try_deskolemize(&so).expect("full tgds deskolemize");
         let mut d1 = Database::empty_of(&s1);
         for (i, (a, b)) in rows.iter().enumerate() {
             d1.insert(&format!("A{}", i % 2), Tuple::from([Value::Int(*a), Value::Int(*b)]));
         }
         let via_so = apply_sotgd(&so, &d1, &s3).expect("apply");
-        let (via_fo, _) = chase_st(&s3, &tgds, &d1);
+        let (via_fo, _) = st(&s3, &tgds, &d1);
         prop_assert!(hom_equivalent(&via_so, &via_fo));
     }
 
@@ -345,7 +368,7 @@ proptest! {
         use mm_workload::faults;
         let (_, mut db, tgds) = faults::terminating_chain(hops);
         let budget = ExecBudget::unbounded().with_rounds(64).with_steps(1_000_000);
-        let out = chase_general_governed(&mut db, &tgds, &[], &budget).expect("terminates");
+        let out = general(&mut db, &tgds, &budget).expect("terminates");
         prop_assert!(matches!(out, ChaseOutcome::Done(st) if st.fired == hops - 1));
         prop_assert_eq!(db.relation(&format!("R{}", hops - 1)).expect("last hop").len(), 1);
     }
@@ -356,7 +379,7 @@ proptest! {
         use mm_workload::faults;
         let (_, mut db, tgds) = faults::divergent_tgds();
         let budget = ExecBudget::unbounded().with_rounds(cap);
-        let failure = chase_general_governed(&mut db, &tgds, &[], &budget)
+        let failure = general(&mut db, &tgds, &budget)
             .expect_err("must not converge");
         prop_assert!(
             matches!(
@@ -375,7 +398,7 @@ proptest! {
         // chase: no round cap — the token alone must stop the divergent run
         let (_, mut db, tgds) = faults::divergent_tgds();
         let budget = ExecBudget::unbounded().with_cancel(faults::cancel_after(polls));
-        let failure = chase_general_governed(&mut db, &tgds, &[], &budget)
+        let failure = general(&mut db, &tgds, &budget)
             .expect_err("cancellation must stop the chase");
         prop_assert!(matches!(failure.error, ExecError::Cancelled { .. }), "{}", failure.error);
 

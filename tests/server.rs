@@ -120,6 +120,31 @@ fn exchange_explain_and_script_round_trip() {
     handle.shutdown().expect("shutdown");
 }
 
+/// A wire exchange chases at one thread whatever the engine's thread
+/// count, so its slow-log EXPLAIN must say `threads=1`.
+#[test]
+fn slow_log_explain_reports_the_threads_the_exchange_ran_at() {
+    let engine = test_engine(EngineConfig { threads: 4, ..Default::default() });
+    let cfg = ServerConfig { slow_threshold: Duration::from_micros(0), ..fast_config() };
+    let handle = Server::start(engine, cfg).expect("start");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.exchange("copy", "Dst", &small_source()).expect("wire exchange");
+    // the entry is recorded after the reply is on the wire
+    let mut slow = Vec::new();
+    wait_for("the exchange's slow-log entry", Duration::from_secs(10), || {
+        slow = client.slow_log(0).expect("slow log");
+        !slow.is_empty()
+    });
+    let explained: Vec<&String> = slow.iter().filter(|l| l.contains("\"explain\":")).collect();
+    assert_eq!(explained.len(), 1, "one exchange, one EXPLAIN: {slow:?}");
+    assert!(
+        explained[0].contains("chase [mode=plan threads=1 "),
+        "the exchange ran at one thread: {}",
+        explained[0]
+    );
+    handle.shutdown().expect("shutdown");
+}
+
 #[test]
 fn mediation_round_trips_over_the_wire() {
     // The runtime-services scenario: an ER model compiled onto tables,

@@ -31,6 +31,21 @@ fn join_scenario() -> (Schema, Schema, Mapping, Database) {
     (src, tgt, m, db)
 }
 
+/// `engine`'s exchange at its configured budget, threads and telemetry,
+/// with the EXPLAIN report.
+fn explain_exchange(engine: &Engine, db: &Database) -> (Database, ChaseStats, ChaseExplain) {
+    let mut gov = Governor::new(&engine.config.budget);
+    let mut explain = ChaseExplain::default();
+    let run = Run {
+        threads: engine.config.threads,
+        tel: engine.telemetry(),
+        explain: Some(&mut explain),
+        ..Run::new(&mut gov)
+    };
+    let (out, stats) = engine.exchange_with("m", "Tgt", db, run).unwrap();
+    (out, stats, explain)
+}
+
 fn engine_with(src: Schema, tgt: Schema, m: Mapping, tel: Telemetry) -> Engine {
     let engine =
         Engine::with_config(EngineConfig { telemetry: tel, ..Default::default() }).unwrap();
@@ -40,7 +55,7 @@ fn engine_with(src: Schema, tgt: Schema, m: Mapping, tel: Telemetry) -> Engine {
     engine
 }
 
-/// `Engine::explain_exchange` reports the compiled join order with
+/// `Engine::exchange_with` with an EXPLAIN sink reports the compiled join order with
 /// per-atom cardinalities, the per-round deltas, and renders
 /// byte-identically across two identical runs.
 #[test]
@@ -48,7 +63,7 @@ fn explain_exchange_is_populated_and_byte_stable() {
     let (src, tgt, m, db) = join_scenario();
     let engine = engine_with(src, tgt, m, Telemetry::disabled());
 
-    let (out, stats, explain) = engine.explain_exchange("m", "Tgt", &db).unwrap();
+    let (out, stats, explain) = explain_exchange(&engine, &db);
     assert_eq!(out.relation("U").unwrap().len(), 4);
     assert_eq!(stats.fired, 4);
 
@@ -69,7 +84,7 @@ fn explain_exchange_is_populated_and_byte_stable() {
     assert_eq!(explain.rounds[0].new_tuples, 4);
 
     // rendered text is deterministic: two identical runs, identical bytes
-    let (_, _, again) = engine.explain_exchange("m", "Tgt", &db).unwrap();
+    let (_, _, again) = explain_exchange(&engine, &db);
     assert_eq!(explain, again);
     let a = explain.to_node().to_string();
     let b = again.to_node().to_string();
@@ -98,7 +113,8 @@ fn explain_chase_general_reports_per_round_deltas() {
     let mut db = Database::empty_of(&schema);
     db.insert("P", Tuple::from([Value::Int(7)]));
 
-    let (out, outcome, explain) = engine.explain_chase_general("m", "G", &db).unwrap();
+    let mut explain = ChaseExplain::default();
+    let (out, outcome) = engine.chase_general("m", "G", &db, Some(&mut explain)).unwrap();
     assert!(matches!(outcome, ChaseOutcome::Done(_)));
     assert_eq!(out.relation("W").unwrap().len(), 1);
 
@@ -112,7 +128,8 @@ fn explain_chase_general_reports_per_round_deltas() {
         assert_eq!(r.round, i + 1);
     }
 
-    let (_, _, again) = engine.explain_chase_general("m", "G", &db).unwrap();
+    let mut again = ChaseExplain::default();
+    engine.chase_general("m", "G", &db, Some(&mut again)).unwrap();
     assert_eq!(explain.to_node().to_string(), again.to_node().to_string());
 }
 
@@ -263,8 +280,8 @@ fn ivm_degradations_mirror_as_events() {
 }
 
 /// Satellite: plan-cache hits and misses are metered across repeated
-/// exchanges of the same mapping version, a newly stored version
-/// invalidates (new ArtifactId → miss), and uncached engines only miss.
+/// exchanges of the same mapping version, and a newly stored version
+/// invalidates (new ArtifactId → miss).
 #[test]
 fn plan_cache_counters_track_hits_misses_and_invalidation() {
     let (src, tgt, m, db) = join_scenario();
@@ -289,24 +306,6 @@ fn plan_cache_counters_track_hits_misses_and_invalidation() {
     assert_eq!((value("plan_cache_hits"), value("plan_cache_misses")), (2, 2));
     engine.exchange("m", "Tgt", &db).unwrap();
     assert_eq!((value("plan_cache_hits"), value("plan_cache_misses")), (3, 2));
-
-    // with caching disabled every exchange is a miss
-    let ring2 = RingCollector::with_capacity(256);
-    let tel2 = Telemetry::new(ring2);
-    let uncached = Engine::with_config(EngineConfig {
-        cache_plans: false,
-        telemetry: tel2.clone(),
-        ..Default::default()
-    })
-    .unwrap();
-    uncached.add_schema(src).unwrap();
-    uncached.add_schema(tgt).unwrap();
-    uncached.add_mapping("m", m).unwrap();
-    uncached.exchange("m", "Tgt", &db).unwrap();
-    uncached.exchange("m", "Tgt", &db).unwrap();
-    let snap = tel2.metrics().unwrap().snapshot();
-    assert_eq!(snap.value("plan_cache_hits"), 0);
-    assert_eq!(snap.value("plan_cache_misses"), 2);
 }
 
 /// Engine operators nest spans (engine.exchange → chase.st), carry the
@@ -658,7 +657,7 @@ fn json_lines_stream_through_mem_storage_parses() {
     let engine = engine_with(src, tgt, m, tel);
     engine.exchange("m", "Tgt", &db).unwrap();
     engine.exchange("m", "Tgt", &db).unwrap();
-    engine.explain_exchange("m", "Tgt", &db).unwrap();
+    explain_exchange(&engine, &db);
 
     let bytes = (storage as Arc<dyn Storage>).read("telemetry.jsonl").unwrap().unwrap();
     let text = String::from_utf8(bytes.to_vec()).unwrap();
